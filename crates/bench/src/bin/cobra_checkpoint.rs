@@ -22,8 +22,8 @@
 //! `--at` defaults to the warmup boundary the grid binaries will expect
 //! at restore time: 40 % of `COBRA_INSTS` (500 000 by default). A
 //! checkpoint taken at any other boundary is rejected at restore with a
-//! precise `WarmupMismatch` error rather than silently skewing the
-//! measured region.
+//! precise `warmup boundary` identity mismatch rather than silently
+//! skewing the measured region.
 //!
 //! Exit status: 0 on success, 1 on a capture or verify failure, 2 on a
 //! usage error.

@@ -353,7 +353,7 @@ pub fn ckpt_path_for(design: &str, workload: &str) -> Option<PathBuf> {
 ///
 /// Panics if the design fails to compose, or if the trace file exists but
 /// is corrupt or truncated (a fatal configuration error, reported with
-/// the precise [`CbtError`](cobra_workloads::CbtError)).
+/// the precise [`ContainerError`](cobra_workloads::ContainerError)).
 pub fn run_one_sourced(
     design: &Design,
     cfg: CoreConfig,
@@ -539,7 +539,7 @@ fn write_interval_metrics<S: InstructionStream>(
 /// captured under a different design, configuration, workload, or warmup
 /// boundary — restoring it anyway would silently skew the measured
 /// region, so a mismatch is a fatal configuration error, reported with
-/// the precise [`CbsError`](cobra_uarch::CbsError).
+/// the precise [`ContainerError`](cobra_uarch::ContainerError).
 fn restore_into<S: InstructionStream>(
     design: &Design,
     cfg: &CoreConfig,
@@ -571,12 +571,12 @@ pub fn capture_len(measure: u64) -> u64 {
 ///
 /// # Errors
 ///
-/// Propagates [`CbtError`](cobra_workloads::CbtError) from encode or I/O.
+/// Propagates [`ContainerError`](cobra_workloads::ContainerError) from encode or I/O.
 pub fn capture_workload(
     spec: &ProgramSpec,
     measure: u64,
     dir: &std::path::Path,
-) -> Result<(cobra_workloads::CbtSummary, PathBuf), cobra_workloads::CbtError> {
+) -> Result<(cobra_workloads::CbtSummary, PathBuf), cobra_workloads::ContainerError> {
     let path = dir.join(format!("{}.cbt", spec.name));
     let mut stream = spec.build();
     let summary =

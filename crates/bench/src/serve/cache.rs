@@ -11,17 +11,20 @@
 //! a damaged or foreign entry degrades to a miss, never to a wrong
 //! answer.
 //!
-//! Stores are atomic (write to a `.tmp` sibling, then rename), so a
-//! concurrent reader can never observe a half-written entry even when
-//! several worker threads share the directory.
+//! Stores are atomic (write to a `.tmp` sibling unique to the writer,
+//! then rename), so a concurrent reader can never observe a half-written
+//! entry, and concurrent writers of one entry never share a temp file.
+//! The containers refuse on write what they refuse on read, so a store
+//! that cannot be read back fails up front and leaves nothing behind.
 
 use std::fs;
-use std::io::BufReader;
+use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cobra_uarch::{
-    read_result, save_result, CbrMeta, CbsMeta, Core, InstructionStream, PerfReport,
+    read_result, save_checkpoint, save_result, CbrMeta, CbsMeta, ContainerError, Core,
+    InstructionStream, PerfReport,
 };
 
 /// Monotonic counters describing cache behaviour since the server
@@ -127,26 +130,9 @@ impl WarmCache {
     /// logged and swallowed — the cache is an accelerator, never a
     /// correctness dependency.
     pub fn store_result(&self, meta: &CbrMeta, report: &PerfReport) {
-        let path = self.result_path(meta);
-        let tmp = path.with_extension("cbr.tmp");
-        let outcome = (|| -> std::io::Result<()> {
-            let f = fs::File::create(&tmp)?;
-            save_result(std::io::BufWriter::new(f), meta, report)
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            fs::rename(&tmp, &path)
-        })();
-        match outcome {
-            Ok(()) => {
-                self.stats.stores.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                eprintln!(
-                    "[cobra-serve] failed to store result cache entry {}: {e}",
-                    path.display()
-                );
-            }
-        }
+        self.store("result cache entry", self.result_path(meta), |w| {
+            save_result(w, meta, report)
+        });
     }
 
     /// `true` iff a checkpoint for exactly this boundary already exists.
@@ -157,14 +143,31 @@ impl WarmCache {
     /// Stores a warmup-boundary checkpoint of `core`, atomically.
     /// Failures are logged and swallowed, like [`Self::store_result`].
     pub fn store_checkpoint<S: InstructionStream>(&self, meta: &CbsMeta, core: &Core<S>) {
-        let path = self.ckpt_path(meta);
-        let tmp = path.with_extension("cbs.tmp");
-        let outcome = (|| -> std::io::Result<()> {
-            let f = fs::File::create(&tmp)?;
-            cobra_uarch::save_checkpoint(std::io::BufWriter::new(f), meta, core)
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            fs::rename(&tmp, &path)
-        })();
+        self.store("checkpoint", self.ckpt_path(meta), |w| {
+            save_checkpoint(w, meta, core)
+        });
+    }
+
+    /// Writes one entry through a temp file unique to this writer, then
+    /// renames it into place.
+    fn store(
+        &self,
+        what: &str,
+        path: PathBuf,
+        save: impl FnOnce(BufWriter<fs::File>) -> Result<u64, ContainerError>,
+    ) {
+        static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(format!(
+            ".{}-{}.tmp",
+            std::process::id(),
+            NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+        ));
+        let tmp = PathBuf::from(tmp);
+        let outcome = fs::File::create(&tmp)
+            .map_err(ContainerError::from)
+            .and_then(|f| save(BufWriter::new(f)))
+            .and_then(|_| fs::rename(&tmp, &path).map_err(ContainerError::from));
         match outcome {
             Ok(()) => {
                 self.stats.stores.fetch_add(1, Ordering::Relaxed);
@@ -172,7 +175,7 @@ impl WarmCache {
             Err(e) => {
                 let _ = fs::remove_file(&tmp);
                 eprintln!(
-                    "[cobra-serve] failed to store checkpoint {}: {e}",
+                    "[cobra-serve] failed to store {what} {}: {e}",
                     path.display()
                 );
             }

@@ -117,7 +117,7 @@ pub fn execute_job(
     if let Some(c) = cache {
         if let Some((path, _meta)) = best_resume_checkpoint(c.ckpt_dir(), &boundary_meta) {
             let restored = std::fs::File::open(&path)
-                .map_err(cobra_uarch::CbsError::from)
+                .map_err(cobra_uarch::ContainerError::from)
                 .and_then(|f| {
                     restore_checkpoint_resume(BufReader::new(f), &boundary_meta, &mut core)
                 });

@@ -11,7 +11,7 @@ use cobra_bench::{ckpt_file_name, run_one_sourced};
 use cobra_core::composer::Design;
 use cobra_core::designs;
 use cobra_uarch::{
-    restore_checkpoint, save_checkpoint, CacheConfig, CbsError, CbsMeta, Core, CoreConfig,
+    restore_checkpoint, save_checkpoint, CacheConfig, CbsMeta, ContainerError, Core, CoreConfig,
 };
 use cobra_workloads::{spec17, ProgramSpec, SPEC17_NAMES};
 
@@ -147,7 +147,10 @@ fn identity_mismatches_are_rejected_up_front() {
     let wrong_design = CbsMeta::for_run(&designs::tournament(), &cfg, &spec.name, 2_000);
     assert!(matches!(
         restore_checkpoint(&bytes[..], &wrong_design, &mut core),
-        Err(CbsError::DesignMismatch { .. })
+        Err(ContainerError::IdentityMismatch {
+            field: "design",
+            ..
+        })
     ));
 
     let mut other_cfg = cfg;
@@ -155,19 +158,28 @@ fn identity_mismatches_are_rejected_up_front() {
     let wrong_cfg = CbsMeta::for_run(&design, &other_cfg, &spec.name, 2_000);
     assert!(matches!(
         restore_checkpoint(&bytes[..], &wrong_cfg, &mut core),
-        Err(CbsError::ConfigHashMismatch { .. })
+        Err(ContainerError::IdentityMismatch {
+            field: "config hash",
+            ..
+        })
     ));
 
     let wrong_workload = CbsMeta::for_run(&design, &cfg, "gcc", 2_000);
     assert!(matches!(
         restore_checkpoint(&bytes[..], &wrong_workload, &mut core),
-        Err(CbsError::WorkloadMismatch { .. })
+        Err(ContainerError::IdentityMismatch {
+            field: "workload",
+            ..
+        })
     ));
 
     let wrong_warmup = CbsMeta::for_run(&design, &cfg, &spec.name, 2_001);
     assert!(matches!(
         restore_checkpoint(&bytes[..], &wrong_warmup, &mut core),
-        Err(CbsError::WarmupMismatch { .. })
+        Err(ContainerError::IdentityMismatch {
+            field: "warmup boundary",
+            ..
+        })
     ));
 
     // And the untouched core still restores cleanly afterwards.
@@ -222,7 +234,7 @@ fn corruption_errors_are_precise() {
     c[0] = b'X';
     assert!(matches!(
         restore_checkpoint(&c[..], &good, &mut core),
-        Err(CbsError::BadMagic)
+        Err(ContainerError::BadMagic(_))
     ));
 
     // Future version number (bytes 8..10, little-endian u16) — also
@@ -233,7 +245,7 @@ fn corruption_errors_are_precise() {
     c[9] = 0x7F;
     assert!(matches!(
         restore_checkpoint(&c[..], &good, &mut core),
-        Err(CbsError::UnsupportedVersion(0x7FFF))
+        Err(ContainerError::UnsupportedVersion { got: 0x7FFF, .. })
     ));
 
     // Payload corruption mid-file is caught by a checksum with
@@ -242,10 +254,9 @@ fn corruption_errors_are_precise() {
     let mid = c.len() / 2;
     c[mid] ^= 0x40;
     match restore_checkpoint(&c[..], &good, &mut core) {
-        Err(
-            CbsError::PayloadChecksum { stored, computed }
-            | CbsError::HeaderChecksum { stored, computed },
-        ) => assert_ne!(stored, computed),
+        Err(ContainerError::Checksum {
+            stored, computed, ..
+        }) => assert_ne!(stored, computed),
         other => panic!("expected a checksum error with stored/computed, got {other:?}"),
     }
 
@@ -254,6 +265,6 @@ fn corruption_errors_are_precise() {
     c.extend_from_slice(b"junk");
     assert!(matches!(
         restore_checkpoint(&c[..], &good, &mut core),
-        Err(CbsError::TrailingBytes { count: 4 })
+        Err(ContainerError::TrailingBytes { count: 4 })
     ));
 }

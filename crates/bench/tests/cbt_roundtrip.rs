@@ -10,7 +10,7 @@
 use cobra_bench::capture_len;
 use cobra_core::designs;
 use cobra_uarch::{Core, CoreConfig, InstructionStream};
-use cobra_workloads::{capture_stream, spec17, CbtError, TraceProgram, SPEC17_NAMES};
+use cobra_workloads::{capture_stream, spec17, ContainerError, TraceProgram, SPEC17_NAMES};
 
 /// Captures `records` instructions of `name`'s stream into memory.
 fn capture_bytes(name: &str, records: u64) -> Vec<u8> {
@@ -86,7 +86,7 @@ fn every_truncation_is_rejected() {
             .err()
             .unwrap_or_else(|| panic!("truncation to {len} bytes was accepted"));
         // No truncation may be reported as a success or a panic; any
-        // CbtError variant is acceptable, but the common ones should be
+        // ContainerError variant is acceptable, but the common ones should be
         // the precise, named ones.
         let msg = err.to_string();
         assert!(!msg.is_empty());
@@ -121,7 +121,7 @@ fn corruption_errors_are_precise() {
     c[0] = b'X';
     assert!(matches!(
         TraceProgram::from_bytes(c),
-        Err(CbtError::BadMagic)
+        Err(ContainerError::BadMagic(_))
     ));
 
     // Future version number (bytes 8..10, little-endian u16) — also
@@ -132,7 +132,7 @@ fn corruption_errors_are_precise() {
     c[9] = 0x7F;
     assert!(matches!(
         TraceProgram::from_bytes(c),
-        Err(CbtError::UnsupportedVersion(0x7FFF))
+        Err(ContainerError::UnsupportedVersion { got: 0x7FFF, .. })
     ));
 
     // Payload corruption inside the first block: named by block number.
@@ -143,12 +143,12 @@ fn corruption_errors_are_precise() {
     c[mid] ^= 0x40;
     match TraceProgram::from_bytes(c) {
         Err(
-            CbtError::BlockChecksum {
+            ContainerError::BlockChecksum {
                 stored, computed, ..
             }
-            | CbtError::HeaderChecksum { stored, computed }
-            | CbtError::StaticChecksum { stored, computed }
-            | CbtError::FooterChecksum { stored, computed },
+            | ContainerError::Checksum {
+                stored, computed, ..
+            },
         ) => assert_ne!(stored, computed),
         other => panic!("expected a checksum error with stored/computed, got {other:?}"),
     }

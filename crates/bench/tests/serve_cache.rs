@@ -205,3 +205,81 @@ fn disabled_cache_always_misses() {
     assert_eq!(b.cache, CacheDisposition::Miss);
     assert_eq!(a.report, b.report, "determinism without a cache");
 }
+
+/// A topology padded past the 4,096-byte name cap still passes the
+/// admission gate. Its entries must be refused when stored — never
+/// written, then rejected on every later read.
+#[test]
+fn over_cap_entries_are_refused_at_store() {
+    let dir = scratch("overcap");
+    let cache = WarmCache::open(&dir).unwrap();
+    let topology = format!("GTAG3 > BTB2 >{} BIM2", " ".repeat(4_100));
+    let d = cobra_core::designs::from_topology(&topology, 32, 0);
+    assert!(d.name.len() > 4_096);
+    let width = CoreConfig::boom_4wide().fetch_slots();
+    cobra_core::analysis::gate_topology(&d.name, &topology, &d.registry, 32, 0, width)
+        .expect("whitespace padding passes admission");
+    let spec = workload_by_name("gcc").unwrap();
+    for _ in 0..3 {
+        let o = execute_job(
+            &d,
+            CoreConfig::boom_4wide(),
+            &spec,
+            2_000,
+            Some(&cache),
+            None,
+        );
+        assert_eq!(o.cache, CacheDisposition::Miss);
+    }
+    assert_eq!(cache.stats.rejected.load(Ordering::Relaxed), 0);
+    assert_eq!(cache.stats.stores.load(Ordering::Relaxed), 0);
+    for sub in ["results", "ckpt"] {
+        assert_eq!(
+            std::fs::read_dir(dir.join(sub)).unwrap().count(),
+            0,
+            "{sub}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two writers storing the same entry while a reader looks it up: every
+/// store lands, the reader never sees a torn file, and no temp file is
+/// left behind.
+#[test]
+fn concurrent_stores_of_one_entry_never_tear() {
+    const N: u64 = 1_000;
+    let dir = scratch("concurrent");
+    let cache = WarmCache::open(&dir).unwrap();
+    let (d, cfg) = (design(), CoreConfig::boom_4wide());
+    let spec = workload_by_name("gcc").unwrap();
+    let report = execute_job(&d, cfg, &spec, 2_000, None, None).report;
+    let meta = meta_for(&d, &cfg, "gcc", 2_000);
+    let start = std::sync::Barrier::new(3);
+    std::thread::scope(|s| {
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..N {
+                        cache.store_result(&meta, &report);
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        while writers.iter().any(|w| !w.is_finished()) {
+            if let Some(hit) = cache.lookup_result(&meta) {
+                assert_eq!(hit, report);
+            }
+        }
+    });
+    assert_eq!(cache.stats.stores.load(Ordering::Relaxed), 2 * N);
+    assert_eq!(cache.stats.rejected.load(Ordering::Relaxed), 0);
+    let names: Vec<_> = std::fs::read_dir(dir.join("results"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names.len(), 1, "{names:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -26,8 +26,11 @@
 //!   randomized hardware policies (e.g. TAGE allocation victim choice).
 //! * [`bits`] — bit-field extraction and hash-mixing helpers.
 //! * [`varint`] — LEB128/ZigZag integer coding and [`Crc32c`] checksums,
-//!   the serialization primitives under the COBRA Binary Trace format
-//!   (`cobra_workloads::cbt`).
+//!   the serialization primitives under the binary containers.
+//! * [`container`] — the frame shared by the four binary containers
+//!   (`.cbt`, `.cbs`, `.cbm`, `.cbr`): magic/version/flags prefix,
+//!   capped strings, header CRC, identity head, CRC-framed payload,
+//!   footer, and one error type.
 //! * [`Snapshot`] with [`StateWriter`]/[`StateReader`] — structured
 //!   full-state serialization for warm-state checkpoints (the COBRA
 //!   Binary Snapshot format, `cobra_uarch::checkpoint`).
@@ -41,6 +44,7 @@
 pub mod bits;
 mod checksum;
 mod circular;
+pub mod container;
 mod counter;
 mod fifo;
 mod folded;

@@ -22,207 +22,27 @@
 //!
 //! [`docs/CHECKPOINT_FORMAT.md`]: https://github.com/cobra-bp/cobra-rs/blob/main/docs/CHECKPOINT_FORMAT.md
 //!
-//! Fixed-width integers are little-endian; variable-length values use
-//! LEB128 ([`cobra_sim::varint`]). The header and the state payload are
-//! independently protected by CRC-32C, and every declared length is
-//! checked against a hard cap before allocation, mirroring the `.cbt`
-//! trace container's hostile-input discipline.
+//! The file is a [`cobra_sim::container`] frame: the shared prefix and
+//! identity head, then the warmup boundary, the header CRC, and one
+//! CRC-framed state payload.
 
 use crate::core::Core;
 use crate::program::InstructionStream;
 use crate::CoreConfig;
 use cobra_core::composer::Design;
-use cobra_sim::{varint, SnapError, StateReader, StateWriter};
-use std::fmt;
+use cobra_sim::container::{self, check_field, ContainerError, Format, Identity};
+use cobra_sim::{varint, StateReader, StateWriter};
 use std::io::{Read, Write};
 
-/// File magic, the first 8 bytes of every `.cbs` file.
-pub const MAGIC: [u8; 8] = *b"COBRACBS";
-/// Trailing footer magic, the last 4 bytes of every `.cbs` file.
-pub const FOOTER_MAGIC: [u8; 4] = *b"CBSX";
-/// The (only) format version this implementation reads and writes.
-pub const VERSION: u16 = 1;
-/// Reader guard: maximum accepted state-payload size.
-pub const MAX_PAYLOAD_BYTES: u64 = 1 << 26;
-/// Reader guard: maximum accepted length for any header string.
-pub const MAX_NAME_BYTES: u64 = 4096;
-
-/// Everything that can go wrong reading or writing a `.cbs` file. Decode
-/// errors are precise: they name the structure or identity field at
-/// fault, so a stale or corrupted checkpoint is diagnosable — and is
-/// never silently restored into the wrong experiment.
-#[derive(Debug)]
-pub enum CbsError {
-    /// An underlying I/O failure.
-    Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file does not end with [`FOOTER_MAGIC`].
-    BadFooterMagic,
-    /// The file's version is not supported by this implementation.
-    UnsupportedVersion(u16),
-    /// The header flags word has bits this implementation does not know.
-    UnsupportedFlags(u16),
-    /// The file ended while reading the named structure.
-    Truncated {
-        /// Which structure was being read.
-        what: &'static str,
-    },
-    /// A declared size exceeds the format's hard limits — either corrupt
-    /// or hostile; never allocated.
-    LimitExceeded {
-        /// Which declared quantity is over limit.
-        what: &'static str,
-        /// The declared value.
-        got: u64,
-        /// The maximum this reader accepts.
-        max: u64,
-    },
-    /// The header CRC-32C does not match the header bytes.
-    HeaderChecksum {
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// The state payload's CRC-32C does not match its bytes.
-    PayloadChecksum {
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// A varint field is truncated or over-long.
-    BadVarint {
-        /// Which structure was being read.
-        what: &'static str,
-    },
-    /// A header string is not valid UTF-8.
-    BadName,
-    /// Bytes remain after the footer magic.
-    TrailingBytes {
-        /// How many bytes follow the footer.
-        count: u64,
-    },
-    /// The checkpoint was captured under a different design name.
-    DesignMismatch {
-        /// Design name stored in the file.
-        stored: String,
-        /// Design name of the core being restored.
-        expected: String,
-    },
-    /// The checkpoint was captured under a different topology string.
-    TopologyMismatch {
-        /// Topology stored in the file.
-        stored: String,
-        /// Topology of the core being restored.
-        expected: String,
-    },
-    /// The checkpoint was captured under a different core/predictor
-    /// configuration (see [`config_hash`]).
-    ConfigHashMismatch {
-        /// Configuration hash stored in the file.
-        stored: u64,
-        /// Configuration hash of the core being restored.
-        expected: u64,
-    },
-    /// The checkpoint was captured running a different workload.
-    WorkloadMismatch {
-        /// Workload name stored in the file.
-        stored: String,
-        /// Workload of the run being restored.
-        expected: String,
-    },
-    /// The checkpoint was captured at a different warmup boundary.
-    WarmupMismatch {
-        /// Warmup instruction count stored in the file.
-        stored: u64,
-        /// Warmup instruction count the restoring run expects.
-        expected: u64,
-    },
-    /// The state payload failed to decode into the core.
-    State(SnapError),
-}
-
-impl fmt::Display for CbsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "i/o error: {e}"),
-            Self::BadMagic => write!(f, "not a CBS file (bad magic; expected `COBRACBS`)"),
-            Self::BadFooterMagic => {
-                write!(f, "bad footer magic (file truncated or not finalized)")
-            }
-            Self::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported CBS version {v} (this reader supports {VERSION})"
-                )
-            }
-            Self::UnsupportedFlags(bits) => {
-                write!(
-                    f,
-                    "unsupported header flags {bits:#06x} (reserved bits set)"
-                )
-            }
-            Self::Truncated { what } => write!(f, "file truncated while reading {what}"),
-            Self::LimitExceeded { what, got, max } => {
-                write!(f, "{what} = {got} exceeds the format limit of {max}")
-            }
-            Self::HeaderChecksum { stored, computed } => write!(
-                f,
-                "header checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            Self::PayloadChecksum { stored, computed } => write!(
-                f,
-                "state-payload checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            Self::BadVarint { what } => write!(f, "truncated or over-long varint in {what}"),
-            Self::BadName => write!(f, "header string is not valid UTF-8"),
-            Self::TrailingBytes { count } => {
-                write!(f, "{count} trailing bytes after the footer magic")
-            }
-            Self::DesignMismatch { stored, expected } => {
-                write!(f, "checkpoint is for design `{stored}`, not `{expected}`")
-            }
-            Self::TopologyMismatch { stored, expected } => {
-                write!(f, "checkpoint is for topology `{stored}`, not `{expected}`")
-            }
-            Self::ConfigHashMismatch { stored, expected } => write!(
-                f,
-                "checkpoint configuration hash {stored:#018x} does not match {expected:#018x}"
-            ),
-            Self::WorkloadMismatch { stored, expected } => {
-                write!(f, "checkpoint is for workload `{stored}`, not `{expected}`")
-            }
-            Self::WarmupMismatch { stored, expected } => write!(
-                f,
-                "checkpoint was taken at {stored} warmup instructions, not {expected}"
-            ),
-            Self::State(e) => write!(f, "state payload: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CbsError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CbsError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
-    }
-}
-
-impl From<SnapError> for CbsError {
-    fn from(e: SnapError) -> Self {
-        Self::State(e)
-    }
-}
+/// The `.cbs` framing: magic `COBRACBS`, footer `CBSX`, version 1, and a
+/// 64 MiB cap on the state payload.
+pub const FORMAT: Format = Format {
+    name: "CBS",
+    magic: *b"COBRACBS",
+    footer_magic: *b"CBSX",
+    version: 1,
+    max_payload: 1 << 26,
+};
 
 /// The identity a checkpoint is bound to: which design, configuration,
 /// and workload produced it, and at what warmup boundary.
@@ -256,6 +76,15 @@ impl CbsMeta {
             config_hash: config_hash(design, cfg),
             workload: workload.to_string(),
             warmup_insts,
+        }
+    }
+
+    fn identity(&self) -> Identity<&str> {
+        Identity {
+            design: &self.design,
+            topology: &self.topology,
+            config_hash: self.config_hash,
+            workload: &self.workload,
         }
     }
 }
@@ -292,40 +121,19 @@ pub fn config_hash(design: &Design, cfg: &CoreConfig) -> u64 {
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the underlying writer.
+/// [`ContainerError::LimitExceeded`] if a name or the state payload is
+/// over the format's caps (nothing is written); I/O errors propagate.
 pub fn save_checkpoint<W: Write, S: InstructionStream>(
-    mut w: W,
+    w: W,
     meta: &CbsMeta,
     core: &Core<S>,
-) -> Result<u64, CbsError> {
-    let mut header = Vec::with_capacity(64);
-    header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&VERSION.to_le_bytes());
-    header.extend_from_slice(&0u16.to_le_bytes()); // flags
-    write_str(&mut header, &meta.design);
-    write_str(&mut header, &meta.topology);
-    header.extend_from_slice(&meta.config_hash.to_le_bytes());
-    write_str(&mut header, &meta.workload);
+) -> Result<u64, ContainerError> {
+    let mut header = container::begin_header(&FORMAT);
+    container::put_identity(&mut header, &meta.identity())?;
     varint::write_u64(&mut header, meta.warmup_insts);
-    let header_crc = cobra_sim::crc32c(&header);
-
     let mut sw = StateWriter::new();
     core.save_state(&mut sw);
-    let payload = sw.finish();
-    let payload_len = payload.len() as u32;
-    let mut crc = cobra_sim::Crc32c::new();
-    crc.update(&payload_len.to_le_bytes());
-    crc.update(&payload);
-    let payload_crc = crc.finish();
-
-    w.write_all(&header)?;
-    w.write_all(&header_crc.to_le_bytes())?;
-    w.write_all(&payload_len.to_le_bytes())?;
-    w.write_all(&payload)?;
-    w.write_all(&payload_crc.to_le_bytes())?;
-    w.write_all(&FOOTER_MAGIC)?;
-    w.flush()?;
-    Ok(header.len() as u64 + 4 + 4 + u64::from(payload_len) + 4 + 4)
+    container::write_frame(w, &FORMAT, &header, &sw.finish())
 }
 
 /// Parses and checksums a `.cbs` header, returning the identity record
@@ -334,9 +142,24 @@ pub fn save_checkpoint<W: Write, S: InstructionStream>(
 ///
 /// # Errors
 ///
-/// Any [`CbsError`] describing the first malformed header structure.
-pub fn read_meta<R: Read>(mut r: R) -> Result<CbsMeta, CbsError> {
-    read_header(&mut r)
+/// Any [`ContainerError`] describing the first malformed header structure.
+pub fn read_meta<R: Read>(mut r: R) -> Result<CbsMeta, ContainerError> {
+    let mut h = container::read_header(&mut r, &FORMAT)?;
+    let Identity {
+        design,
+        topology,
+        config_hash,
+        workload,
+    } = h.identity()?;
+    let warmup_insts = h.varint("header warmup boundary")?;
+    h.check("header checksum")?;
+    Ok(CbsMeta {
+        design,
+        topology,
+        config_hash,
+        workload,
+        warmup_insts,
+    })
 }
 
 /// Restores a `.cbs` file into `core`, which must be freshly built from
@@ -353,14 +176,14 @@ pub fn read_meta<R: Read>(mut r: R) -> Result<CbsMeta, CbsError> {
 ///
 /// # Errors
 ///
-/// Any [`CbsError`]. If the error is [`CbsError::State`], the core may
-/// be partially overwritten and must be discarded; identity and checksum
-/// errors are detected before any state is written.
+/// Any [`ContainerError`]. If the error is [`ContainerError::State`],
+/// the core may be partially overwritten and must be discarded; identity
+/// and checksum errors are detected before any state is written.
 pub fn restore_checkpoint<R: Read, S: InstructionStream>(
     r: R,
     expected: &CbsMeta,
     core: &mut Core<S>,
-) -> Result<(), CbsError> {
+) -> Result<(), ContainerError> {
     restore_inner(r, expected, core, false).map(|_| ())
 }
 
@@ -378,14 +201,14 @@ pub fn restore_checkpoint<R: Read, S: InstructionStream>(
 ///
 /// # Errors
 ///
-/// Any [`CbsError`]; [`CbsError::WarmupMismatch`] when the stored
-/// boundary is *beyond* `expected.warmup_insts` (the overshoot cannot be
-/// unwound).
+/// Any [`ContainerError`]; an `IdentityMismatch` on the `warmup boundary`
+/// field when the stored boundary is *beyond* `expected.warmup_insts`
+/// (the overshoot cannot be unwound).
 pub fn restore_checkpoint_resume<R: Read, S: InstructionStream>(
     r: R,
     expected: &CbsMeta,
     core: &mut Core<S>,
-) -> Result<u64, CbsError> {
+) -> Result<u64, ContainerError> {
     restore_inner(r, expected, core, true)
 }
 
@@ -415,10 +238,7 @@ pub fn best_resume_checkpoint(
         let Ok(meta) = read_meta(std::io::BufReader::new(f)) else {
             continue;
         };
-        if meta.design != expected.design
-            || meta.topology != expected.topology
-            || meta.config_hash != expected.config_hash
-            || meta.workload != expected.workload
+        if meta.identity().check(&expected.identity()).is_err()
             || meta.warmup_insts > expected.warmup_insts
         {
             continue;
@@ -438,178 +258,22 @@ fn restore_inner<R: Read, S: InstructionStream>(
     expected: &CbsMeta,
     core: &mut Core<S>,
     allow_earlier_warmup: bool,
-) -> Result<u64, CbsError> {
-    let meta = read_header(&mut r)?;
-    if meta.design != expected.design {
-        return Err(CbsError::DesignMismatch {
-            stored: meta.design,
-            expected: expected.design.clone(),
-        });
-    }
-    if meta.topology != expected.topology {
-        return Err(CbsError::TopologyMismatch {
-            stored: meta.topology,
-            expected: expected.topology.clone(),
-        });
-    }
-    if meta.config_hash != expected.config_hash {
-        return Err(CbsError::ConfigHashMismatch {
-            stored: meta.config_hash,
-            expected: expected.config_hash,
-        });
-    }
-    if meta.workload != expected.workload {
-        return Err(CbsError::WorkloadMismatch {
-            stored: meta.workload,
-            expected: expected.workload.clone(),
-        });
-    }
-    let boundary_ok = if allow_earlier_warmup {
-        meta.warmup_insts <= expected.warmup_insts
+) -> Result<u64, ContainerError> {
+    let meta = read_meta(&mut r)?;
+    meta.identity().check(&expected.identity())?;
+    // An earlier boundary passes as the expected one; an overshoot is
+    // reported as stored.
+    let boundary = if allow_earlier_warmup {
+        meta.warmup_insts.max(expected.warmup_insts)
     } else {
-        meta.warmup_insts == expected.warmup_insts
+        meta.warmup_insts
     };
-    if !boundary_ok {
-        return Err(CbsError::WarmupMismatch {
-            stored: meta.warmup_insts,
-            expected: expected.warmup_insts,
-        });
-    }
-
-    let payload_len = u64::from(read_u32(&mut r, "payload length")?);
-    if payload_len > MAX_PAYLOAD_BYTES {
-        return Err(CbsError::LimitExceeded {
-            what: "state-payload length",
-            got: payload_len,
-            max: MAX_PAYLOAD_BYTES,
-        });
-    }
-    let mut payload = vec![0u8; payload_len as usize];
-    read_exact(&mut r, &mut payload, "state payload")?;
-    let stored = read_u32(&mut r, "payload checksum")?;
-    let mut crc = cobra_sim::Crc32c::new();
-    crc.update(&(payload_len as u32).to_le_bytes());
-    crc.update(&payload);
-    let computed = crc.finish();
-    if stored != computed {
-        return Err(CbsError::PayloadChecksum { stored, computed });
-    }
-    let mut footer = [0u8; 4];
-    read_exact(&mut r, &mut footer, "footer magic")?;
-    if footer != FOOTER_MAGIC {
-        return Err(CbsError::BadFooterMagic);
-    }
-    let mut rest = [0u8; 64];
-    let mut trailing = 0u64;
-    loop {
-        let n = r.read(&mut rest)?;
-        if n == 0 {
-            break;
-        }
-        trailing += n as u64;
-    }
-    if trailing != 0 {
-        return Err(CbsError::TrailingBytes { count: trailing });
-    }
-
+    check_field("warmup boundary", boundary, expected.warmup_insts)?;
+    let payload = container::read_payload(&mut r, &FORMAT)?;
     let mut sr = StateReader::new(&payload);
     core.load_state(&mut sr)?;
     sr.finish()?;
     Ok(meta.warmup_insts)
-}
-
-/// Reads and checksums the header, returning the identity record.
-fn read_header<R: Read>(r: &mut R) -> Result<CbsMeta, CbsError> {
-    let mut fixed = [0u8; 12];
-    read_exact(r, &mut fixed, "header")?;
-    if fixed[..8] != MAGIC {
-        return Err(CbsError::BadMagic);
-    }
-    let version = u16::from_le_bytes([fixed[8], fixed[9]]);
-    if version != VERSION {
-        return Err(CbsError::UnsupportedVersion(version));
-    }
-    let flags = u16::from_le_bytes([fixed[10], fixed[11]]);
-    if flags != 0 {
-        return Err(CbsError::UnsupportedFlags(flags));
-    }
-    let mut raw = fixed.to_vec();
-    let design = read_str(r, &mut raw, "header design name")?;
-    let topology = read_str(r, &mut raw, "header topology")?;
-    let mut hash_bytes = [0u8; 8];
-    read_exact(r, &mut hash_bytes, "header config hash")?;
-    raw.extend_from_slice(&hash_bytes);
-    let config_hash = u64::from_le_bytes(hash_bytes);
-    let workload = read_str(r, &mut raw, "header workload name")?;
-    let warmup_insts = read_varint_stream(r, &mut raw, "header warmup boundary")?;
-    let stored = read_u32(r, "header checksum")?;
-    let computed = cobra_sim::crc32c(&raw);
-    if stored != computed {
-        return Err(CbsError::HeaderChecksum { stored, computed });
-    }
-    Ok(CbsMeta {
-        design,
-        topology,
-        config_hash,
-        workload,
-        warmup_insts,
-    })
-}
-
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    varint::write_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str<R: Read>(r: &mut R, raw: &mut Vec<u8>, what: &'static str) -> Result<String, CbsError> {
-    let len = read_varint_stream(r, raw, what)?;
-    if len > MAX_NAME_BYTES {
-        return Err(CbsError::LimitExceeded {
-            what,
-            got: len,
-            max: MAX_NAME_BYTES,
-        });
-    }
-    let mut buf = vec![0u8; len as usize];
-    read_exact(r, &mut buf, what)?;
-    raw.extend_from_slice(&buf);
-    String::from_utf8(buf).map_err(|_| CbsError::BadName)
-}
-
-fn read_exact<R: Read>(r: &mut R, buf: &mut [u8], what: &'static str) -> Result<(), CbsError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            CbsError::Truncated { what }
-        } else {
-            CbsError::Io(e)
-        }
-    })
-}
-
-fn read_u32<R: Read>(r: &mut R, what: &'static str) -> Result<u32, CbsError> {
-    let mut b = [0u8; 4];
-    read_exact(r, &mut b, what)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-/// Reads a varint byte-by-byte from a stream, appending the raw bytes to
-/// `raw` (for checksumming).
-fn read_varint_stream<R: Read>(
-    r: &mut R,
-    raw: &mut Vec<u8>,
-    what: &'static str,
-) -> Result<u64, CbsError> {
-    let start = raw.len();
-    for _ in 0..varint::MAX_VARINT_LEN {
-        let mut b = [0u8; 1];
-        read_exact(r, &mut b, what)?;
-        raw.push(b[0]);
-        if b[0] & 0x80 == 0 {
-            let mut pos = 0;
-            return varint::read_u64(&raw[start..], &mut pos).ok_or(CbsError::BadVarint { what });
-        }
-    }
-    Err(CbsError::BadVarint { what })
 }
 
 #[cfg(test)]
@@ -745,7 +409,10 @@ mod tests {
         let mut core = fresh_core(cfg);
         assert!(matches!(
             restore_checkpoint_resume(&over[..], &expected, &mut core),
-            Err(CbsError::WarmupMismatch { .. })
+            Err(ContainerError::IdentityMismatch {
+                field: "warmup boundary",
+                ..
+            })
         ));
     }
 
@@ -795,36 +462,23 @@ mod tests {
         let cfg = tiny_cfg();
         let bytes = capture(cfg, 2_000);
         let mut core = fresh_core(cfg);
-        let mut m = meta(&cfg, 2_000);
-        m.design = "TAGE-L".into();
-        assert!(matches!(
-            restore_checkpoint(&bytes[..], &m, &mut core),
-            Err(CbsError::DesignMismatch { .. })
-        ));
-        let mut m = meta(&cfg, 2_000);
-        m.topology = "BIM2".into();
-        assert!(matches!(
-            restore_checkpoint(&bytes[..], &m, &mut core),
-            Err(CbsError::TopologyMismatch { .. })
-        ));
-        let mut m = meta(&cfg, 2_000);
-        m.config_hash ^= 1;
-        assert!(matches!(
-            restore_checkpoint(&bytes[..], &m, &mut core),
-            Err(CbsError::ConfigHashMismatch { .. })
-        ));
-        let mut m = meta(&cfg, 2_000);
-        m.workload = "other".into();
-        assert!(matches!(
-            restore_checkpoint(&bytes[..], &m, &mut core),
-            Err(CbsError::WorkloadMismatch { .. })
-        ));
-        let mut m = meta(&cfg, 2_000);
-        m.warmup_insts += 1;
-        assert!(matches!(
-            restore_checkpoint(&bytes[..], &m, &mut core),
-            Err(CbsError::WarmupMismatch { .. })
-        ));
+        let with = |edit: fn(&mut CbsMeta)| {
+            let mut m = meta(&cfg, 2_000);
+            edit(&mut m);
+            m
+        };
+        for (field, m) in [
+            ("design", with(|m| m.design = "TAGE-L".into())),
+            ("topology", with(|m| m.topology = "BIM2".into())),
+            ("config hash", with(|m| m.config_hash ^= 1)),
+            ("workload", with(|m| m.workload = "other".into())),
+            ("warmup boundary", with(|m| m.warmup_insts += 1)),
+        ] {
+            match restore_checkpoint(&bytes[..], &m, &mut core) {
+                Err(ContainerError::IdentityMismatch { field: f, .. }) if f == field => {}
+                other => panic!("{field}: expected IdentityMismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -840,60 +494,13 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_detected_everywhere() {
-        let cfg = tiny_cfg();
-        let bytes = capture(cfg, 1_000);
-        let expected = meta(&cfg, 1_000);
-        // The scratch core may be partially written by a failed restore;
-        // detection never depends on its contents, so one core serves
-        // every cut.
-        let mut core = fresh_core(cfg);
-        for cut in 0..bytes.len() {
-            assert!(
-                restore_checkpoint(&bytes[..cut], &expected, &mut core).is_err(),
-                "truncation at {cut}/{} went undetected",
-                bytes.len()
-            );
-        }
-    }
-
-    #[test]
-    fn bit_flips_are_detected() {
-        let cfg = tiny_cfg();
-        let bytes = capture(cfg, 1_000);
-        let expected = meta(&cfg, 1_000);
-        let mut core = fresh_core(cfg);
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 1 << (i % 8);
-            assert!(
-                restore_checkpoint(&bad[..], &expected, &mut core).is_err(),
-                "bit flip at byte {i} went undetected"
-            );
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let cfg = tiny_cfg();
-        let mut bytes = capture(cfg, 1_000);
-        bytes.push(0);
-        let mut core = fresh_core(cfg);
-        assert!(matches!(
-            restore_checkpoint(&bytes[..], &meta(&cfg, 1_000), &mut core),
-            Err(CbsError::TrailingBytes { count: 1 })
-        ));
-    }
-
-    #[test]
     fn error_messages_are_precise() {
-        let e = CbsError::DesignMismatch {
-            stored: "B2".into(),
-            expected: "TAGE-L".into(),
-        };
+        let e = check_field("design", "B2", "TAGE-L").unwrap_err();
         let s = e.to_string();
         assert!(s.contains("B2") && s.contains("TAGE-L"), "{s}");
-        assert!(CbsError::BadMagic.to_string().contains("COBRACBS"));
+        assert!(ContainerError::BadMagic(&FORMAT)
+            .to_string()
+            .contains("COBRACBS"));
     }
 
     #[test]

@@ -45,12 +45,14 @@ pub use crate::core::Core;
 pub use cache::{Cache, MemoryHierarchy};
 pub use checkpoint::{
     best_resume_checkpoint, config_hash, read_meta, restore_checkpoint, restore_checkpoint_resume,
-    save_checkpoint, CbsError, CbsMeta,
+    save_checkpoint, CbsMeta,
 };
+/// The error type of every container reader and writer.
+pub use cobra_sim::container::ContainerError;
 pub use config::{CacheConfig, CoreConfig};
-pub use metrics::{read_metrics, reconcile, save_metrics, CbmError, CbmFile, CbmMeta};
+pub use metrics::{read_metrics, reconcile, save_metrics, CbmFile, CbmMeta};
 pub use perf::{harmonic_mean, PerfCounters, PerfReport};
 pub use program::{CfiOutcome, DynInst, InstructionStream, IterStream, Op, SkipStream, StaticInst};
 pub use ras::{RasSnapshot, ReturnAddressStack};
-pub use resultcache::{read_result, read_result_meta, save_result, CbrError, CbrMeta};
+pub use resultcache::{read_result, read_result_meta, save_result, CbrMeta};
 pub use tracesim::{TraceSim, TraceStats};

@@ -10,158 +10,34 @@
 //! telemetry reconciles bit-exactly with the run's `PerfReport` /
 //! [`AttributionReport`] ([`reconcile`]), with no side channel.
 //!
-//! The container follows the same hostile-input discipline as `.cbt`
-//! and `.cbs`: fixed-width integers little-endian, variable-length
-//! values LEB128 ([`cobra_sim::varint`]), header and payload
-//! independently CRC-32C-protected, every declared length capped before
-//! allocation, trailing bytes rejected, and precise error variants
-//! ([`CbmError`]). The normative specification, including a decoded
-//! worked example, is in `docs/METRICS_FORMAT.md` at the repository
-//! root; this module is the reference implementation.
+//! The file is a [`cobra_sim::container`] frame: the shared prefix and
+//! identity head, then the telemetry geometry and label table, the
+//! header CRC, and one CRC-framed payload. The payload schema, with a
+//! decoded worked example, is in `docs/METRICS_FORMAT.md` at the
+//! repository root; this module is the reference implementation.
 
 use cobra_core::obs::interval::{HostCounters, IntervalGauges, IntervalRecord, IntervalSeries};
 use cobra_core::obs::{AttributionReport, ComponentAttribution, ComponentCounters, OverrideEdge};
+use cobra_sim::container::{self, cap, put_str, take_varint, ContainerError, Format, Identity};
 use cobra_sim::varint;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::io::{Read, Write};
 
-/// File magic, the first 8 bytes of every `.cbm` file.
-pub const MAGIC: [u8; 8] = *b"COBRACBM";
-/// Trailing footer magic, the last 4 bytes of every `.cbm` file.
-pub const FOOTER_MAGIC: [u8; 4] = *b"CBMX";
-/// The (only) format version this implementation reads and writes.
-pub const VERSION: u16 = 1;
-/// Reader guard: maximum accepted payload size.
-pub const MAX_PAYLOAD_BYTES: u64 = 1 << 26;
-/// Reader guard: maximum accepted length for any header string.
-pub const MAX_NAME_BYTES: u64 = 4096;
-/// Reader guard: maximum interval records per file.
+/// The `.cbm` framing: magic `COBRACBM`, footer `CBMX`, version 1, and a
+/// 64 MiB cap on the payload.
+pub const FORMAT: Format = Format {
+    name: "CBM",
+    magic: *b"COBRACBM",
+    footer_magic: *b"CBMX",
+    version: 1,
+    max_payload: 1 << 26,
+};
+/// Cap on interval records per file.
 pub const MAX_RECORDS: u64 = 1 << 20;
-/// Reader guard: maximum component rows (labels) per file.
+/// Cap on component rows (labels) per file; shared with `.cbr`.
 pub const MAX_LABELS: u64 = 64;
-/// Reader guard: maximum phase-signature buckets per record.
+/// Cap on phase-signature buckets per record.
 pub const MAX_SIG_BUCKETS: u64 = 4096;
-
-/// Everything that can go wrong reading or writing a `.cbm` file.
-#[derive(Debug)]
-pub enum CbmError {
-    /// An underlying I/O failure.
-    Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file does not end with [`FOOTER_MAGIC`].
-    BadFooterMagic,
-    /// The file's version is not supported by this implementation.
-    UnsupportedVersion(u16),
-    /// The header flags word has bits this implementation does not know.
-    UnsupportedFlags(u16),
-    /// The file ended while reading the named structure.
-    Truncated {
-        /// Which structure was being read.
-        what: &'static str,
-    },
-    /// A declared size exceeds the format's hard limits — either corrupt
-    /// or hostile; never allocated.
-    LimitExceeded {
-        /// Which declared quantity is over limit.
-        what: &'static str,
-        /// The declared value.
-        got: u64,
-        /// The maximum this reader accepts.
-        max: u64,
-    },
-    /// The header CRC-32C does not match the header bytes.
-    HeaderChecksum {
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// The payload's CRC-32C does not match its bytes.
-    PayloadChecksum {
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// A varint field is truncated or over-long.
-    BadVarint {
-        /// Which structure was being read.
-        what: &'static str,
-    },
-    /// A header string is not valid UTF-8.
-    BadName,
-    /// Bytes remain after the footer magic.
-    TrailingBytes {
-        /// How many bytes follow the footer.
-        count: u64,
-    },
-    /// The payload decoded but is semantically inconsistent (an
-    /// override edge naming a component row that does not exist, a
-    /// record with the wrong number of component rows, …).
-    Malformed {
-        /// What was inconsistent.
-        what: &'static str,
-    },
-}
-
-impl fmt::Display for CbmError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "i/o error: {e}"),
-            Self::BadMagic => write!(f, "not a CBM file (bad magic; expected `COBRACBM`)"),
-            Self::BadFooterMagic => {
-                write!(f, "bad footer magic (file truncated or not finalized)")
-            }
-            Self::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported CBM version {v} (this reader supports {VERSION})"
-                )
-            }
-            Self::UnsupportedFlags(bits) => {
-                write!(
-                    f,
-                    "unsupported header flags {bits:#06x} (reserved bits set)"
-                )
-            }
-            Self::Truncated { what } => write!(f, "file truncated while reading {what}"),
-            Self::LimitExceeded { what, got, max } => {
-                write!(f, "{what} = {got} exceeds the format limit of {max}")
-            }
-            Self::HeaderChecksum { stored, computed } => write!(
-                f,
-                "header checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            Self::PayloadChecksum { stored, computed } => write!(
-                f,
-                "payload checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            Self::BadVarint { what } => write!(f, "truncated or over-long varint in {what}"),
-            Self::BadName => write!(f, "header string is not valid UTF-8"),
-            Self::TrailingBytes { count } => {
-                write!(f, "{count} trailing bytes after the footer magic")
-            }
-            Self::Malformed { what } => write!(f, "malformed payload: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for CbmError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CbmError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
-    }
-}
 
 /// The identity a metrics file is bound to: which design, configuration,
 /// and workload produced it, plus the telemetry geometry.
@@ -182,6 +58,17 @@ pub struct CbmMeta {
     pub interval_n: u64,
     /// Phase-signature buckets per record.
     pub sig_buckets: u64,
+}
+
+impl CbmMeta {
+    fn identity(&self) -> Identity<&str> {
+        Identity {
+            design: &self.design,
+            topology: &self.topology,
+            config_hash: self.config_hash,
+            workload: &self.workload,
+        }
+    }
 }
 
 /// A fully decoded and validated `.cbm` file.
@@ -209,15 +96,17 @@ pub struct CbmFile {
 ///
 /// # Errors
 ///
-/// Propagates I/O errors; [`CbmError::Malformed`] if a record's
-/// component rows disagree with the series label table.
+/// [`ContainerError::Malformed`] if a record's component rows disagree
+/// with the series label table, and [`ContainerError::LimitExceeded`] if
+/// a name, count, or the payload is over the format's caps — in both
+/// cases nothing is written. I/O errors propagate.
 pub fn save_metrics<W: Write>(
-    mut w: W,
+    w: W,
     meta: &CbmMeta,
     series: &IntervalSeries,
     totals_host: &HostCounters,
     totals_attr: &AttributionReport,
-) -> Result<u64, CbmError> {
+) -> Result<u64, ContainerError> {
     let labels = &series.labels;
     let n_components = labels.len().saturating_sub(1);
     let row_index: BTreeMap<&str, u64> = labels
@@ -226,31 +115,33 @@ pub fn save_metrics<W: Write>(
         .map(|(i, l)| (l.as_str(), i as u64))
         .collect();
 
-    let mut header = Vec::with_capacity(96);
-    header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&VERSION.to_le_bytes());
-    header.extend_from_slice(&0u16.to_le_bytes()); // flags
-    write_str(&mut header, &meta.design);
-    write_str(&mut header, &meta.topology);
-    header.extend_from_slice(&meta.config_hash.to_le_bytes());
-    write_str(&mut header, &meta.workload);
-    varint::write_u64(&mut header, meta.warmup_insts);
-    varint::write_u64(&mut header, meta.interval_n);
-    varint::write_u64(&mut header, meta.sig_buckets);
-    varint::write_u64(&mut header, labels.len() as u64);
-    for l in labels {
-        write_str(&mut header, l);
+    let mut header = container::begin_header(&FORMAT);
+    container::put_identity(&mut header, &meta.identity())?;
+    for v in [
+        meta.warmup_insts,
+        meta.interval_n,
+        cap(
+            "header signature buckets",
+            meta.sig_buckets,
+            MAX_SIG_BUCKETS,
+        )?,
+        cap("header label count", labels.len() as u64, MAX_LABELS)?,
+    ] {
+        varint::write_u64(&mut header, v);
     }
-    let header_crc = cobra_sim::crc32c(&header);
+    for l in labels {
+        put_str(&mut header, "header component label", l)?;
+    }
 
     let mut payload = Vec::with_capacity(series.records.len() * 256 + 256);
-    varint::write_u64(&mut payload, series.records.len() as u64);
+    let n_records = cap("record count", series.records.len() as u64, MAX_RECORDS)?;
+    varint::write_u64(&mut payload, n_records);
     for rec in &series.records {
         if rec.attr.components.len() != labels.len()
             || rec.gauges.sram_rows.len() != n_components
             || rec.sig.len() as u64 != meta.sig_buckets
         {
-            return Err(CbmError::Malformed {
+            return Err(ContainerError::Malformed {
                 what: "record shape disagrees with the header label table",
             });
         }
@@ -270,27 +161,14 @@ pub fn save_metrics<W: Write>(
         }
     }
     if totals_attr.components.len() != labels.len() {
-        return Err(CbmError::Malformed {
+        return Err(ContainerError::Malformed {
             what: "totals shape disagrees with the header label table",
         });
     }
     encode_host(&mut payload, totals_host);
     encode_attr(&mut payload, totals_attr, &row_index)?;
 
-    let payload_len = payload.len() as u32;
-    let mut crc = cobra_sim::Crc32c::new();
-    crc.update(&payload_len.to_le_bytes());
-    crc.update(&payload);
-    let payload_crc = crc.finish();
-
-    w.write_all(&header)?;
-    w.write_all(&header_crc.to_le_bytes())?;
-    w.write_all(&payload_len.to_le_bytes())?;
-    w.write_all(&payload)?;
-    w.write_all(&payload_crc.to_le_bytes())?;
-    w.write_all(&FOOTER_MAGIC)?;
-    w.flush()?;
-    Ok(header.len() as u64 + 4 + 4 + u64::from(payload_len) + 4 + 4)
+    container::write_frame(w, &FORMAT, &header, &payload)
 }
 
 /// Parses and checksums a `.cbm` header, returning the identity record
@@ -298,85 +176,72 @@ pub fn save_metrics<W: Write>(
 ///
 /// # Errors
 ///
-/// Any [`CbmError`] describing the first malformed header structure.
-pub fn read_meta<R: Read>(mut r: R) -> Result<(CbmMeta, Vec<String>), CbmError> {
-    read_header(&mut r)
+/// Any [`ContainerError`] describing the first malformed header structure.
+pub fn read_meta<R: Read>(mut r: R) -> Result<(CbmMeta, Vec<String>), ContainerError> {
+    let mut h = container::read_header(&mut r, &FORMAT)?;
+    let Identity {
+        design,
+        topology,
+        config_hash,
+        workload,
+    } = h.identity()?;
+    let warmup_insts = h.varint("header warmup boundary")?;
+    let interval_n = h.varint("header interval length")?;
+    let sig_buckets = h.capped("header signature buckets", MAX_SIG_BUCKETS)?;
+    let n_labels = h.capped("header label count", MAX_LABELS)?;
+    let labels = (0..n_labels)
+        .map(|_| h.string("header component label"))
+        .collect::<Result<Vec<_>, _>>()?;
+    h.check("header checksum")?;
+    let meta = CbmMeta {
+        design,
+        topology,
+        config_hash,
+        workload,
+        warmup_insts,
+        interval_n,
+        sig_buckets,
+    };
+    Ok((meta, labels))
 }
 
 /// Reads, checksums, and fully decodes a `.cbm` file.
 ///
 /// # Errors
 ///
-/// Any [`CbmError`]; nothing about the file is trusted before its
+/// Any [`ContainerError`]; nothing about the file is trusted before its
 /// checksums and shape checks pass.
-pub fn read_metrics<R: Read>(mut r: R) -> Result<CbmFile, CbmError> {
-    let (meta, labels) = read_header(&mut r)?;
-    let payload_len = u64::from(read_u32(&mut r, "payload length")?);
-    if payload_len > MAX_PAYLOAD_BYTES {
-        return Err(CbmError::LimitExceeded {
-            what: "payload length",
-            got: payload_len,
-            max: MAX_PAYLOAD_BYTES,
-        });
-    }
-    let mut payload = vec![0u8; payload_len as usize];
-    read_exact(&mut r, &mut payload, "payload")?;
-    let stored = read_u32(&mut r, "payload checksum")?;
-    let mut crc = cobra_sim::Crc32c::new();
-    crc.update(&(payload_len as u32).to_le_bytes());
-    crc.update(&payload);
-    let computed = crc.finish();
-    if stored != computed {
-        return Err(CbmError::PayloadChecksum { stored, computed });
-    }
-    let mut footer = [0u8; 4];
-    read_exact(&mut r, &mut footer, "footer magic")?;
-    if footer != FOOTER_MAGIC {
-        return Err(CbmError::BadFooterMagic);
-    }
-    let mut rest = [0u8; 64];
-    let mut trailing = 0u64;
-    loop {
-        let n = r.read(&mut rest)?;
-        if n == 0 {
-            break;
-        }
-        trailing += n as u64;
-    }
-    if trailing != 0 {
-        return Err(CbmError::TrailingBytes { count: trailing });
-    }
+pub fn read_metrics<R: Read>(mut r: R) -> Result<CbmFile, ContainerError> {
+    let (meta, labels) = read_meta(&mut r)?;
+    let payload = container::read_payload(&mut r, &FORMAT)?;
 
     let n_components = labels.len().saturating_sub(1);
     let mut pos = 0usize;
-    let n_records = read_varint(&payload, &mut pos, "record count")?;
-    if n_records > MAX_RECORDS {
-        return Err(CbmError::LimitExceeded {
-            what: "record count",
-            got: n_records,
-            max: MAX_RECORDS,
-        });
-    }
+    let n_records = cap(
+        "record count",
+        take_varint(&payload, &mut pos, "record count")?,
+        MAX_RECORDS,
+    )?;
     let mut records = Vec::with_capacity(n_records as usize);
     for _ in 0..n_records {
-        let seq = read_varint(&payload, &mut pos, "record seq")?;
-        let start_inst = read_varint(&payload, &mut pos, "record start")?;
+        let seq = take_varint(&payload, &mut pos, "record seq")?;
+        let start_inst = take_varint(&payload, &mut pos, "record start")?;
         let host = decode_host(&payload, &mut pos, "record host counters")?;
         let attr = decode_attr(&payload, &mut pos, &labels, "record attribution")?;
-        let hf_occupancy = read_varint(&payload, &mut pos, "record hf occupancy")?;
-        let ras_depth = read_varint(&payload, &mut pos, "record ras depth")?;
-        let ras_high_water = read_varint(&payload, &mut pos, "record ras high water")?;
+        let hf_occupancy = take_varint(&payload, &mut pos, "record hf occupancy")?;
+        let ras_depth = take_varint(&payload, &mut pos, "record ras depth")?;
+        let ras_high_water = take_varint(&payload, &mut pos, "record ras high water")?;
         let mut sram_rows = Vec::with_capacity(n_components);
         for _ in 0..n_components {
-            let touched = read_varint(&payload, &mut pos, "record sram touched rows")?;
-            let total = read_varint(&payload, &mut pos, "record sram total rows")?;
+            let touched = take_varint(&payload, &mut pos, "record sram touched rows")?;
+            let total = take_varint(&payload, &mut pos, "record sram total rows")?;
             sram_rows.push((touched, total));
         }
         let mut sig = Vec::with_capacity(meta.sig_buckets as usize);
         for _ in 0..meta.sig_buckets {
-            let v = read_varint(&payload, &mut pos, "record signature bucket")?;
+            let v = take_varint(&payload, &mut pos, "record signature bucket")?;
             if v > u64::from(u32::MAX) {
-                return Err(CbmError::Malformed {
+                return Err(ContainerError::Malformed {
                     what: "signature bucket exceeds u32",
                 });
             }
@@ -399,7 +264,7 @@ pub fn read_metrics<R: Read>(mut r: R) -> Result<CbmFile, CbmError> {
     let totals_host = decode_host(&payload, &mut pos, "totals host counters")?;
     let totals_attr = decode_attr(&payload, &mut pos, &labels, "totals attribution")?;
     if pos != payload.len() {
-        return Err(CbmError::Malformed {
+        return Err(ContainerError::Malformed {
             what: "payload bytes remain after the totals section",
         });
     }
@@ -514,10 +379,10 @@ pub(crate) fn decode_host(
     buf: &[u8],
     pos: &mut usize,
     what: &'static str,
-) -> Result<HostCounters, CbmError> {
+) -> Result<HostCounters, ContainerError> {
     let mut a = [0u64; 11];
     for v in a.iter_mut() {
-        *v = read_varint(buf, pos, what)?;
+        *v = take_varint(buf, pos, what)?;
     }
     Ok(HostCounters::from_array(a))
 }
@@ -526,7 +391,7 @@ pub(crate) fn encode_attr(
     out: &mut Vec<u8>,
     attr: &AttributionReport,
     row_index: &BTreeMap<&str, u64>,
-) -> Result<(), CbmError> {
+) -> Result<(), ContainerError> {
     for c in &attr.components {
         let d = &c.counters;
         for v in [
@@ -547,13 +412,19 @@ pub(crate) fn encode_attr(
     varint::write_u64(out, attr.hf_high_water);
     varint::write_u64(out, attr.ghist_snapshot_repairs);
     varint::write_u64(out, attr.lhist_repairs);
-    varint::write_u64(out, attr.overrides.len() as u64);
+    let rows = attr.components.len() as u64;
+    let n_edges = cap(
+        "override edge count",
+        attr.overrides.len() as u64,
+        rows * rows,
+    )?;
+    varint::write_u64(out, n_edges);
     for e in &attr.overrides {
         let (Some(&w), Some(&l)) = (
             row_index.get(e.winner.as_str()),
             row_index.get(e.loser.as_str()),
         ) else {
-            return Err(CbmError::Malformed {
+            return Err(ContainerError::Malformed {
                 what: "override edge names a component not in the label table",
             });
         };
@@ -569,12 +440,12 @@ pub(crate) fn decode_attr(
     pos: &mut usize,
     labels: &[String],
     what: &'static str,
-) -> Result<AttributionReport, CbmError> {
+) -> Result<AttributionReport, ContainerError> {
     let mut components = Vec::with_capacity(labels.len());
     for label in labels {
         let mut v = [0u64; 9];
         for x in v.iter_mut() {
-            *x = read_varint(buf, pos, what)?;
+            *x = take_varint(buf, pos, what)?;
         }
         components.push(ComponentAttribution {
             label: label.clone(),
@@ -591,25 +462,23 @@ pub(crate) fn decode_attr(
             },
         });
     }
-    let packets_with_prediction = read_varint(buf, pos, what)?;
-    let hf_high_water = read_varint(buf, pos, what)?;
-    let ghist_snapshot_repairs = read_varint(buf, pos, what)?;
-    let lhist_repairs = read_varint(buf, pos, what)?;
-    let n_edges = read_varint(buf, pos, what)?;
-    if n_edges > (labels.len() as u64) * (labels.len() as u64) {
-        return Err(CbmError::LimitExceeded {
-            what: "override edge count",
-            got: n_edges,
-            max: (labels.len() as u64) * (labels.len() as u64),
-        });
-    }
+    let packets_with_prediction = take_varint(buf, pos, what)?;
+    let hf_high_water = take_varint(buf, pos, what)?;
+    let ghist_snapshot_repairs = take_varint(buf, pos, what)?;
+    let lhist_repairs = take_varint(buf, pos, what)?;
+    let rows = labels.len() as u64;
+    let n_edges = cap(
+        "override edge count",
+        take_varint(buf, pos, what)?,
+        rows * rows,
+    )?;
     let mut overrides = Vec::with_capacity(n_edges as usize);
     for _ in 0..n_edges {
-        let w = read_varint(buf, pos, what)?;
-        let l = read_varint(buf, pos, what)?;
-        let count = read_varint(buf, pos, what)?;
+        let w = take_varint(buf, pos, what)?;
+        let l = take_varint(buf, pos, what)?;
+        let count = take_varint(buf, pos, what)?;
         if w >= labels.len() as u64 || l >= labels.len() as u64 {
-            return Err(CbmError::Malformed {
+            return Err(ContainerError::Malformed {
                 what: "override edge row index out of range",
             });
         }
@@ -627,129 +496,6 @@ pub(crate) fn decode_attr(
         lhist_repairs,
         overrides,
     })
-}
-
-fn read_header<R: Read>(r: &mut R) -> Result<(CbmMeta, Vec<String>), CbmError> {
-    let mut fixed = [0u8; 12];
-    read_exact(r, &mut fixed, "header")?;
-    if fixed[..8] != MAGIC {
-        return Err(CbmError::BadMagic);
-    }
-    let version = u16::from_le_bytes([fixed[8], fixed[9]]);
-    if version != VERSION {
-        return Err(CbmError::UnsupportedVersion(version));
-    }
-    let flags = u16::from_le_bytes([fixed[10], fixed[11]]);
-    if flags != 0 {
-        return Err(CbmError::UnsupportedFlags(flags));
-    }
-    let mut raw = fixed.to_vec();
-    let design = read_str(r, &mut raw, "header design name")?;
-    let topology = read_str(r, &mut raw, "header topology")?;
-    let mut hash_bytes = [0u8; 8];
-    read_exact(r, &mut hash_bytes, "header config hash")?;
-    raw.extend_from_slice(&hash_bytes);
-    let config_hash = u64::from_le_bytes(hash_bytes);
-    let workload = read_str(r, &mut raw, "header workload name")?;
-    let warmup_insts = read_varint_stream(r, &mut raw, "header warmup boundary")?;
-    let interval_n = read_varint_stream(r, &mut raw, "header interval length")?;
-    let sig_buckets = read_varint_stream(r, &mut raw, "header signature buckets")?;
-    if sig_buckets > MAX_SIG_BUCKETS {
-        return Err(CbmError::LimitExceeded {
-            what: "signature buckets",
-            got: sig_buckets,
-            max: MAX_SIG_BUCKETS,
-        });
-    }
-    let n_labels = read_varint_stream(r, &mut raw, "header label count")?;
-    if n_labels > MAX_LABELS {
-        return Err(CbmError::LimitExceeded {
-            what: "label count",
-            got: n_labels,
-            max: MAX_LABELS,
-        });
-    }
-    let mut labels = Vec::with_capacity(n_labels as usize);
-    for _ in 0..n_labels {
-        labels.push(read_str(r, &mut raw, "header component label")?);
-    }
-    let stored = read_u32(r, "header checksum")?;
-    let computed = cobra_sim::crc32c(&raw);
-    if stored != computed {
-        return Err(CbmError::HeaderChecksum { stored, computed });
-    }
-    Ok((
-        CbmMeta {
-            design,
-            topology,
-            config_hash,
-            workload,
-            warmup_insts,
-            interval_n,
-            sig_buckets,
-        },
-        labels,
-    ))
-}
-
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    varint::write_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str<R: Read>(r: &mut R, raw: &mut Vec<u8>, what: &'static str) -> Result<String, CbmError> {
-    let len = read_varint_stream(r, raw, what)?;
-    if len > MAX_NAME_BYTES {
-        return Err(CbmError::LimitExceeded {
-            what,
-            got: len,
-            max: MAX_NAME_BYTES,
-        });
-    }
-    let mut buf = vec![0u8; len as usize];
-    read_exact(r, &mut buf, what)?;
-    raw.extend_from_slice(&buf);
-    String::from_utf8(buf).map_err(|_| CbmError::BadName)
-}
-
-fn read_exact<R: Read>(r: &mut R, buf: &mut [u8], what: &'static str) -> Result<(), CbmError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            CbmError::Truncated { what }
-        } else {
-            CbmError::Io(e)
-        }
-    })
-}
-
-fn read_u32<R: Read>(r: &mut R, what: &'static str) -> Result<u32, CbmError> {
-    let mut b = [0u8; 4];
-    read_exact(r, &mut b, what)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_varint(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, CbmError> {
-    varint::read_u64(buf, pos).ok_or(CbmError::BadVarint { what })
-}
-
-/// Reads a varint byte-by-byte from a stream, appending the raw bytes to
-/// `raw` (for checksumming).
-fn read_varint_stream<R: Read>(
-    r: &mut R,
-    raw: &mut Vec<u8>,
-    what: &'static str,
-) -> Result<u64, CbmError> {
-    let start = raw.len();
-    for _ in 0..varint::MAX_VARINT_LEN {
-        let mut b = [0u8; 1];
-        read_exact(r, &mut b, what)?;
-        raw.push(b[0]);
-        if b[0] & 0x80 == 0 {
-            let mut pos = 0;
-            return varint::read_u64(&raw[start..], &mut pos).ok_or(CbmError::BadVarint { what });
-        }
-    }
-    Err(CbmError::BadVarint { what })
 }
 
 #[cfg(test)]
@@ -868,41 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_detected_everywhere() {
-        let bytes = encode();
-        for cut in 0..bytes.len() {
-            assert!(
-                read_metrics(&bytes[..cut]).is_err(),
-                "truncation at {cut}/{} went undetected",
-                bytes.len()
-            );
-        }
-    }
-
-    #[test]
-    fn bit_flips_are_detected() {
-        let bytes = encode();
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 1 << (i % 8);
-            assert!(
-                read_metrics(&bad[..]).is_err(),
-                "bit flip at byte {i} went undetected"
-            );
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut bytes = encode();
-        bytes.push(0);
-        assert!(matches!(
-            read_metrics(&bytes[..]),
-            Err(CbmError::TrailingBytes { count: 1 })
-        ));
-    }
-
-    #[test]
     fn tampered_totals_fail_reconciliation() {
         let (series, th, mut ta) = sample_series();
         ta.components[0].counters.queries += 1;
@@ -927,18 +638,16 @@ mod tests {
         let mut buf = Vec::new();
         assert!(matches!(
             save_metrics(&mut buf, &meta(), &series, &th, &ta),
-            Err(CbmError::Malformed { .. })
+            Err(ContainerError::Malformed { .. })
         ));
     }
 
     #[test]
     fn error_messages_are_precise() {
-        assert!(CbmError::BadMagic.to_string().contains("COBRACBM"));
-        let e = CbmError::LimitExceeded {
-            what: "record count",
-            got: 9,
-            max: 3,
-        };
+        assert!(ContainerError::BadMagic(&FORMAT)
+            .to_string()
+            .contains("COBRACBM"));
+        let e = cap("record count", 9, 3).unwrap_err();
         assert!(e.to_string().contains("record count"));
     }
 }

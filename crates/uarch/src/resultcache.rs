@@ -9,195 +9,33 @@
 //! deterministic the stored report *is* the report a fresh run would
 //! produce — byte-for-byte once rendered.
 //!
-//! The container follows the same hostile-input discipline as `.cbt`,
-//! `.cbs`, and `.cbm`: fixed-width integers little-endian,
-//! variable-length values LEB128 ([`cobra_sim::varint`]), header and
-//! payload independently CRC-32C-protected, every declared length capped
-//! before allocation, trailing bytes rejected, and precise error
-//! variants ([`CbrError`]). [`read_result`] verifies the *whole* file
-//! and every identity field before a byte of payload is trusted, so a
-//! truncated, bit-flipped, or stale entry can never poison a served
-//! result. The payload reuses the `.cbm` counter and attribution codecs
-//! ([`crate::metrics`]), so the two formats cannot drift.
+//! The file is a [`cobra_sim::container`] frame: the shared prefix and
+//! identity head, then the instruction bound and warmup boundary, the
+//! header CRC, and one CRC-framed payload. [`read_result`] verifies the
+//! *whole* file and every identity field before a byte of payload is
+//! trusted, so a truncated, bit-flipped, or stale entry can never poison
+//! a served result. The payload reuses the `.cbm` counter and
+//! attribution codecs ([`crate::metrics`]), so the two formats cannot
+//! drift. Its schema is in `docs/CONTAINER_FORMAT.md`.
 
-use crate::metrics::{decode_attr, decode_host, encode_attr, encode_host, CbmError};
+use crate::metrics::{decode_attr, decode_host, encode_attr, encode_host, MAX_LABELS};
 use crate::{PerfCounters, PerfReport};
+use cobra_sim::container::{
+    self, cap, check_field, put_str, take_str, take_varint, ContainerError, Format, Identity,
+};
 use cobra_sim::varint;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::io::{Read, Write};
 
-/// File magic, the first 8 bytes of every `.cbr` file.
-pub const MAGIC: [u8; 8] = *b"COBRACBR";
-/// Trailing footer magic, the last 4 bytes of every `.cbr` file.
-pub const FOOTER_MAGIC: [u8; 4] = *b"CBRX";
-/// The (only) format version this implementation reads and writes.
-pub const VERSION: u16 = 1;
-/// Reader guard: maximum accepted payload size.
-pub const MAX_PAYLOAD_BYTES: u64 = 1 << 20;
-/// Reader guard: maximum accepted length for any header string.
-pub const MAX_NAME_BYTES: u64 = 4096;
-/// Reader guard: maximum component rows (labels) per file.
-pub const MAX_LABELS: u64 = 64;
-
-/// Everything that can go wrong reading or writing a `.cbr` file.
-#[derive(Debug)]
-pub enum CbrError {
-    /// An underlying I/O failure.
-    Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file does not end with [`FOOTER_MAGIC`].
-    BadFooterMagic,
-    /// The file's version is not supported by this implementation.
-    UnsupportedVersion(u16),
-    /// The header flags word has bits this implementation does not know.
-    UnsupportedFlags(u16),
-    /// The file ended while reading the named structure.
-    Truncated {
-        /// Which structure was being read.
-        what: &'static str,
-    },
-    /// A declared size exceeds the format's hard limits — either corrupt
-    /// or hostile; never allocated.
-    LimitExceeded {
-        /// Which declared quantity is over limit.
-        what: &'static str,
-        /// The declared value.
-        got: u64,
-        /// The maximum this reader accepts.
-        max: u64,
-    },
-    /// The header CRC-32C does not match the header bytes.
-    HeaderChecksum {
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// The payload's CRC-32C does not match its bytes.
-    PayloadChecksum {
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// A varint field is truncated or over-long.
-    BadVarint {
-        /// Which structure was being read.
-        what: &'static str,
-    },
-    /// A header string is not valid UTF-8.
-    BadName,
-    /// Bytes remain after the footer magic.
-    TrailingBytes {
-        /// How many bytes follow the footer.
-        count: u64,
-    },
-    /// The payload decoded but is semantically inconsistent.
-    Malformed {
-        /// What was inconsistent.
-        what: &'static str,
-    },
-    /// The result was produced by a different experiment than `expected`
-    /// — any identity field differs. Never served.
-    IdentityMismatch {
-        /// Which identity field differs.
-        field: &'static str,
-        /// The value stored in the file.
-        stored: String,
-        /// The value the lookup expected.
-        expected: String,
-    },
-}
-
-impl fmt::Display for CbrError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "i/o error: {e}"),
-            Self::BadMagic => write!(f, "not a CBR file (bad magic; expected `COBRACBR`)"),
-            Self::BadFooterMagic => {
-                write!(f, "bad footer magic (file truncated or not finalized)")
-            }
-            Self::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported CBR version {v} (this reader supports {VERSION})"
-                )
-            }
-            Self::UnsupportedFlags(bits) => {
-                write!(
-                    f,
-                    "unsupported header flags {bits:#06x} (reserved bits set)"
-                )
-            }
-            Self::Truncated { what } => write!(f, "file truncated while reading {what}"),
-            Self::LimitExceeded { what, got, max } => {
-                write!(f, "{what} = {got} exceeds the format limit of {max}")
-            }
-            Self::HeaderChecksum { stored, computed } => write!(
-                f,
-                "header checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            Self::PayloadChecksum { stored, computed } => write!(
-                f,
-                "payload checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            Self::BadVarint { what } => write!(f, "truncated or over-long varint in {what}"),
-            Self::BadName => write!(f, "header string is not valid UTF-8"),
-            Self::TrailingBytes { count } => {
-                write!(f, "{count} trailing bytes after the footer magic")
-            }
-            Self::Malformed { what } => write!(f, "malformed payload: {what}"),
-            Self::IdentityMismatch {
-                field,
-                stored,
-                expected,
-            } => write!(f, "result is for {field} `{stored}`, not `{expected}`"),
-        }
-    }
-}
-
-impl std::error::Error for CbrError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CbrError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
-    }
-}
-
-/// Maps the shared `.cbm` codec errors onto `.cbr` variants (the codecs
-/// are reused verbatim; their failure modes are identical).
-impl From<CbmError> for CbrError {
-    fn from(e: CbmError) -> Self {
-        match e {
-            CbmError::Io(e) => Self::Io(e),
-            CbmError::BadMagic => Self::BadMagic,
-            CbmError::BadFooterMagic => Self::BadFooterMagic,
-            CbmError::UnsupportedVersion(v) => Self::UnsupportedVersion(v),
-            CbmError::UnsupportedFlags(b) => Self::UnsupportedFlags(b),
-            CbmError::Truncated { what } => Self::Truncated { what },
-            CbmError::LimitExceeded { what, got, max } => Self::LimitExceeded { what, got, max },
-            CbmError::HeaderChecksum { stored, computed } => {
-                Self::HeaderChecksum { stored, computed }
-            }
-            CbmError::PayloadChecksum { stored, computed } => {
-                Self::PayloadChecksum { stored, computed }
-            }
-            CbmError::BadVarint { what } => Self::BadVarint { what },
-            CbmError::BadName => Self::BadName,
-            CbmError::TrailingBytes { count } => Self::TrailingBytes { count },
-            CbmError::Malformed { what } => Self::Malformed { what },
-        }
-    }
-}
+/// The `.cbr` framing: magic `COBRACBR`, footer `CBRX`, version 1, and a
+/// 1 MiB cap on the payload.
+pub const FORMAT: Format = Format {
+    name: "CBR",
+    magic: *b"COBRACBR",
+    footer_magic: *b"CBRX",
+    version: 1,
+    max_payload: 1 << 20,
+};
 
 /// The identity a persisted result is bound to — the full cache key.
 ///
@@ -222,18 +60,31 @@ pub struct CbrMeta {
     pub warmup_insts: u64,
 }
 
+impl CbrMeta {
+    fn identity(&self) -> Identity<&str> {
+        Identity {
+            design: &self.design,
+            topology: &self.topology,
+            config_hash: self.config_hash,
+            workload: &self.workload,
+        }
+    }
+}
+
 /// Serializes `report` into `w` as a `.cbr` file bound to `meta`, and
 /// returns the bytes written.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors; [`CbrError::Malformed`] if the report's
-/// override edges name components missing from its own rows.
+/// [`ContainerError::LimitExceeded`] if a name, the label table, or the
+/// payload is over the format's caps, and [`ContainerError::Malformed`]
+/// if the report's override edges name components missing from its own
+/// rows — in both cases nothing is written. I/O errors propagate.
 pub fn save_result<W: Write>(
-    mut w: W,
+    w: W,
     meta: &CbrMeta,
     report: &PerfReport,
-) -> Result<u64, CbrError> {
+) -> Result<u64, ContainerError> {
     let labels: Vec<&str> = report
         .attribution
         .components
@@ -246,42 +97,24 @@ pub fn save_result<W: Write>(
         .map(|(i, l)| (*l, i as u64))
         .collect();
 
-    let mut header = Vec::with_capacity(96);
-    header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&VERSION.to_le_bytes());
-    header.extend_from_slice(&0u16.to_le_bytes()); // flags
-    write_str(&mut header, &meta.design);
-    write_str(&mut header, &meta.topology);
-    header.extend_from_slice(&meta.config_hash.to_le_bytes());
-    write_str(&mut header, &meta.workload);
+    let mut header = container::begin_header(&FORMAT);
+    container::put_identity(&mut header, &meta.identity())?;
     varint::write_u64(&mut header, meta.insts);
     varint::write_u64(&mut header, meta.warmup_insts);
-    let header_crc = cobra_sim::crc32c(&header);
 
     let mut payload = Vec::with_capacity(512);
-    write_str(&mut payload, &report.workload);
-    write_str(&mut payload, &report.design);
-    varint::write_u64(&mut payload, labels.len() as u64);
+    put_str(&mut payload, "payload workload name", &report.workload)?;
+    put_str(&mut payload, "payload design name", &report.design)?;
+    varint::write_u64(
+        &mut payload,
+        cap("payload label count", labels.len() as u64, MAX_LABELS)?,
+    );
     for l in &labels {
-        write_str(&mut payload, l);
+        put_str(&mut payload, "payload component label", l)?;
     }
     encode_host(&mut payload, &report.counters.to_host());
     encode_attr(&mut payload, &report.attribution, &row_index)?;
-
-    let payload_len = payload.len() as u32;
-    let mut crc = cobra_sim::Crc32c::new();
-    crc.update(&payload_len.to_le_bytes());
-    crc.update(&payload);
-    let payload_crc = crc.finish();
-
-    w.write_all(&header)?;
-    w.write_all(&header_crc.to_le_bytes())?;
-    w.write_all(&payload_len.to_le_bytes())?;
-    w.write_all(&payload)?;
-    w.write_all(&payload_crc.to_le_bytes())?;
-    w.write_all(&FOOTER_MAGIC)?;
-    w.flush()?;
-    Ok(header.len() as u64 + 4 + 4 + u64::from(payload_len) + 4 + 4)
+    container::write_frame(w, &FORMAT, &header, &payload)
 }
 
 /// Parses and checksums a `.cbr` header, returning the identity record
@@ -289,9 +122,26 @@ pub fn save_result<W: Write>(
 ///
 /// # Errors
 ///
-/// Any [`CbrError`] describing the first malformed header structure.
-pub fn read_result_meta<R: Read>(mut r: R) -> Result<CbrMeta, CbrError> {
-    read_header(&mut r)
+/// Any [`ContainerError`] describing the first malformed header structure.
+pub fn read_result_meta<R: Read>(mut r: R) -> Result<CbrMeta, ContainerError> {
+    let mut h = container::read_header(&mut r, &FORMAT)?;
+    let Identity {
+        design,
+        topology,
+        config_hash,
+        workload,
+    } = h.identity()?;
+    let insts = h.varint("header instruction bound")?;
+    let warmup_insts = h.varint("header warmup boundary")?;
+    h.check("header checksum")?;
+    Ok(CbrMeta {
+        design,
+        topology,
+        config_hash,
+        workload,
+        insts,
+        warmup_insts,
+    })
 }
 
 /// Reads, checksums, identity-verifies, and fully decodes a `.cbr` file.
@@ -303,79 +153,37 @@ pub fn read_result_meta<R: Read>(mut r: R) -> Result<CbrMeta, CbrError> {
 ///
 /// # Errors
 ///
-/// Any [`CbrError`]; [`CbrError::IdentityMismatch`] names the first
-/// identity field that differs.
-pub fn read_result<R: Read>(mut r: R, expected: &CbrMeta) -> Result<PerfReport, CbrError> {
-    let meta = read_header(&mut r)?;
-    check_identity(&meta, expected)?;
-
-    let payload_len = u64::from(read_u32(&mut r, "payload length")?);
-    if payload_len > MAX_PAYLOAD_BYTES {
-        return Err(CbrError::LimitExceeded {
-            what: "payload length",
-            got: payload_len,
-            max: MAX_PAYLOAD_BYTES,
-        });
-    }
-    let mut payload = vec![0u8; payload_len as usize];
-    read_exact(&mut r, &mut payload, "payload")?;
-    let stored = read_u32(&mut r, "payload checksum")?;
-    let mut crc = cobra_sim::Crc32c::new();
-    crc.update(&(payload_len as u32).to_le_bytes());
-    crc.update(&payload);
-    let computed = crc.finish();
-    if stored != computed {
-        return Err(CbrError::PayloadChecksum { stored, computed });
-    }
-    let mut footer = [0u8; 4];
-    read_exact(&mut r, &mut footer, "footer magic")?;
-    if footer != FOOTER_MAGIC {
-        return Err(CbrError::BadFooterMagic);
-    }
-    let mut rest = [0u8; 64];
-    let mut trailing = 0u64;
-    loop {
-        let n = r.read(&mut rest)?;
-        if n == 0 {
-            break;
-        }
-        trailing += n as u64;
-    }
-    if trailing != 0 {
-        return Err(CbrError::TrailingBytes { count: trailing });
-    }
+/// Any [`ContainerError`]; [`ContainerError::IdentityMismatch`] names the
+/// first identity field that differs.
+pub fn read_result<R: Read>(mut r: R, expected: &CbrMeta) -> Result<PerfReport, ContainerError> {
+    let meta = read_result_meta(&mut r)?;
+    meta.identity().check(&expected.identity())?;
+    check_field("instruction bound", meta.insts, expected.insts)?;
+    check_field("warmup boundary", meta.warmup_insts, expected.warmup_insts)?;
+    let payload = container::read_payload(&mut r, &FORMAT)?;
 
     let mut pos = 0usize;
-    let workload = read_str_buf(&payload, &mut pos, "payload workload name")?;
-    let design = read_str_buf(&payload, &mut pos, "payload design name")?;
-    let n_labels = read_varint(&payload, &mut pos, "payload label count")?;
-    if n_labels > MAX_LABELS {
-        return Err(CbrError::LimitExceeded {
-            what: "label count",
-            got: n_labels,
-            max: MAX_LABELS,
-        });
-    }
-    let mut labels = Vec::with_capacity(n_labels as usize);
-    for _ in 0..n_labels {
-        labels.push(read_str_buf(&payload, &mut pos, "payload component label")?);
-    }
+    let workload = take_str(&payload, &mut pos, "payload workload name")?;
+    let design = take_str(&payload, &mut pos, "payload design name")?;
+    let n_labels = cap(
+        "payload label count",
+        take_varint(&payload, &mut pos, "payload label count")?,
+        MAX_LABELS,
+    )?;
+    let labels = (0..n_labels)
+        .map(|_| take_str(&payload, &mut pos, "payload component label"))
+        .collect::<Result<Vec<_>, _>>()?;
     let host = decode_host(&payload, &mut pos, "payload counters")?;
     let attribution = decode_attr(&payload, &mut pos, &labels, "payload attribution")?;
+    let malformed = |what| Err(ContainerError::Malformed { what });
     if pos != payload.len() {
-        return Err(CbrError::Malformed {
-            what: "payload bytes remain after the attribution section",
-        });
+        return malformed("payload bytes remain after the attribution section");
     }
     if workload != meta.workload {
-        return Err(CbrError::Malformed {
-            what: "payload workload disagrees with the header",
-        });
+        return malformed("payload workload disagrees with the header");
     }
     if design != meta.design {
-        return Err(CbrError::Malformed {
-            what: "payload design disagrees with the header",
-        });
+        return malformed("payload design disagrees with the header");
     }
     Ok(PerfReport {
         workload,
@@ -383,169 +191,6 @@ pub fn read_result<R: Read>(mut r: R, expected: &CbrMeta) -> Result<PerfReport, 
         counters: PerfCounters::from_host(&host),
         attribution,
     })
-}
-
-fn check_identity(meta: &CbrMeta, expected: &CbrMeta) -> Result<(), CbrError> {
-    if meta.design != expected.design {
-        return Err(CbrError::IdentityMismatch {
-            field: "design",
-            stored: meta.design.clone(),
-            expected: expected.design.clone(),
-        });
-    }
-    if meta.topology != expected.topology {
-        return Err(CbrError::IdentityMismatch {
-            field: "topology",
-            stored: meta.topology.clone(),
-            expected: expected.topology.clone(),
-        });
-    }
-    if meta.config_hash != expected.config_hash {
-        return Err(CbrError::IdentityMismatch {
-            field: "config hash",
-            stored: format!("{:#018x}", meta.config_hash),
-            expected: format!("{:#018x}", expected.config_hash),
-        });
-    }
-    if meta.workload != expected.workload {
-        return Err(CbrError::IdentityMismatch {
-            field: "workload",
-            stored: meta.workload.clone(),
-            expected: expected.workload.clone(),
-        });
-    }
-    if meta.insts != expected.insts {
-        return Err(CbrError::IdentityMismatch {
-            field: "instruction bound",
-            stored: meta.insts.to_string(),
-            expected: expected.insts.to_string(),
-        });
-    }
-    if meta.warmup_insts != expected.warmup_insts {
-        return Err(CbrError::IdentityMismatch {
-            field: "warmup boundary",
-            stored: meta.warmup_insts.to_string(),
-            expected: expected.warmup_insts.to_string(),
-        });
-    }
-    Ok(())
-}
-
-fn read_header<R: Read>(r: &mut R) -> Result<CbrMeta, CbrError> {
-    let mut fixed = [0u8; 12];
-    read_exact(r, &mut fixed, "header")?;
-    if fixed[..8] != MAGIC {
-        return Err(CbrError::BadMagic);
-    }
-    let version = u16::from_le_bytes([fixed[8], fixed[9]]);
-    if version != VERSION {
-        return Err(CbrError::UnsupportedVersion(version));
-    }
-    let flags = u16::from_le_bytes([fixed[10], fixed[11]]);
-    if flags != 0 {
-        return Err(CbrError::UnsupportedFlags(flags));
-    }
-    let mut raw = fixed.to_vec();
-    let design = read_str(r, &mut raw, "header design name")?;
-    let topology = read_str(r, &mut raw, "header topology")?;
-    let mut hash_bytes = [0u8; 8];
-    read_exact(r, &mut hash_bytes, "header config hash")?;
-    raw.extend_from_slice(&hash_bytes);
-    let config_hash = u64::from_le_bytes(hash_bytes);
-    let workload = read_str(r, &mut raw, "header workload name")?;
-    let insts = read_varint_stream(r, &mut raw, "header instruction bound")?;
-    let warmup_insts = read_varint_stream(r, &mut raw, "header warmup boundary")?;
-    let stored = read_u32(r, "header checksum")?;
-    let computed = cobra_sim::crc32c(&raw);
-    if stored != computed {
-        return Err(CbrError::HeaderChecksum { stored, computed });
-    }
-    Ok(CbrMeta {
-        design,
-        topology,
-        config_hash,
-        workload,
-        insts,
-        warmup_insts,
-    })
-}
-
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    varint::write_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str<R: Read>(r: &mut R, raw: &mut Vec<u8>, what: &'static str) -> Result<String, CbrError> {
-    let len = read_varint_stream(r, raw, what)?;
-    if len > MAX_NAME_BYTES {
-        return Err(CbrError::LimitExceeded {
-            what,
-            got: len,
-            max: MAX_NAME_BYTES,
-        });
-    }
-    let mut buf = vec![0u8; len as usize];
-    read_exact(r, &mut buf, what)?;
-    raw.extend_from_slice(&buf);
-    String::from_utf8(buf).map_err(|_| CbrError::BadName)
-}
-
-fn read_str_buf(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<String, CbrError> {
-    let len = read_varint(buf, pos, what)?;
-    if len > MAX_NAME_BYTES {
-        return Err(CbrError::LimitExceeded {
-            what,
-            got: len,
-            max: MAX_NAME_BYTES,
-        });
-    }
-    let end = pos
-        .checked_add(len as usize)
-        .filter(|&e| e <= buf.len())
-        .ok_or(CbrError::Truncated { what })?;
-    let s = String::from_utf8(buf[*pos..end].to_vec()).map_err(|_| CbrError::BadName)?;
-    *pos = end;
-    Ok(s)
-}
-
-fn read_exact<R: Read>(r: &mut R, buf: &mut [u8], what: &'static str) -> Result<(), CbrError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            CbrError::Truncated { what }
-        } else {
-            CbrError::Io(e)
-        }
-    })
-}
-
-fn read_u32<R: Read>(r: &mut R, what: &'static str) -> Result<u32, CbrError> {
-    let mut b = [0u8; 4];
-    read_exact(r, &mut b, what)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_varint(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, CbrError> {
-    varint::read_u64(buf, pos).ok_or(CbrError::BadVarint { what })
-}
-
-/// Reads a varint byte-by-byte from a stream, appending the raw bytes to
-/// `raw` (for checksumming).
-fn read_varint_stream<R: Read>(
-    r: &mut R,
-    raw: &mut Vec<u8>,
-    what: &'static str,
-) -> Result<u64, CbrError> {
-    let start = raw.len();
-    for _ in 0..varint::MAX_VARINT_LEN {
-        let mut b = [0u8; 1];
-        read_exact(r, &mut b, what)?;
-        raw.push(b[0]);
-        if b[0] & 0x80 == 0 {
-            let mut pos = 0;
-            return varint::read_u64(&raw[start..], &mut pos).ok_or(CbrError::BadVarint { what });
-        }
-    }
-    Err(CbrError::BadVarint { what })
 }
 
 #[cfg(test)]
@@ -639,7 +284,7 @@ mod tests {
         m.design = "TAGE-L".into();
         assert!(matches!(
             read_result(&bytes[..], &m),
-            Err(CbrError::IdentityMismatch {
+            Err(ContainerError::IdentityMismatch {
                 field: "design",
                 ..
             })
@@ -648,7 +293,7 @@ mod tests {
         m.topology = "BIM2".into();
         assert!(matches!(
             read_result(&bytes[..], &m),
-            Err(CbrError::IdentityMismatch {
+            Err(ContainerError::IdentityMismatch {
                 field: "topology",
                 ..
             })
@@ -657,7 +302,7 @@ mod tests {
         m.config_hash ^= 1;
         assert!(matches!(
             read_result(&bytes[..], &m),
-            Err(CbrError::IdentityMismatch {
+            Err(ContainerError::IdentityMismatch {
                 field: "config hash",
                 ..
             })
@@ -666,7 +311,7 @@ mod tests {
         m.workload = "xz".into();
         assert!(matches!(
             read_result(&bytes[..], &m),
-            Err(CbrError::IdentityMismatch {
+            Err(ContainerError::IdentityMismatch {
                 field: "workload",
                 ..
             })
@@ -675,7 +320,7 @@ mod tests {
         m.insts += 1;
         assert!(matches!(
             read_result(&bytes[..], &m),
-            Err(CbrError::IdentityMismatch {
+            Err(ContainerError::IdentityMismatch {
                 field: "instruction bound",
                 ..
             })
@@ -684,7 +329,7 @@ mod tests {
         m.warmup_insts += 1;
         assert!(matches!(
             read_result(&bytes[..], &m),
-            Err(CbrError::IdentityMismatch {
+            Err(ContainerError::IdentityMismatch {
                 field: "warmup boundary",
                 ..
             })
@@ -692,49 +337,13 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_detected_everywhere() {
-        let bytes = encode();
-        for cut in 0..bytes.len() {
-            assert!(
-                read_result(&bytes[..cut], &sample_meta()).is_err(),
-                "truncation at {cut}/{} went undetected",
-                bytes.len()
-            );
-        }
-    }
-
-    #[test]
-    fn bit_flips_are_detected() {
-        let bytes = encode();
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 1 << (i % 8);
-            assert!(
-                read_result(&bad[..], &sample_meta()).is_err(),
-                "bit flip at byte {i} went undetected"
-            );
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut bytes = encode();
-        bytes.push(0);
-        assert!(matches!(
-            read_result(&bytes[..], &sample_meta()),
-            Err(CbrError::TrailingBytes { count: 1 })
-        ));
-    }
-
-    #[test]
     fn error_messages_are_precise() {
-        assert!(CbrError::BadMagic.to_string().contains("COBRACBR"));
-        let e = CbrError::IdentityMismatch {
-            field: "design",
-            stored: "B2".into(),
-            expected: "TAGE-L".into(),
-        };
-        let s = e.to_string();
+        assert!(ContainerError::BadMagic(&FORMAT)
+            .to_string()
+            .contains("COBRACBR"));
+        let s = check_field("design", "B2", "TAGE-L")
+            .unwrap_err()
+            .to_string();
         assert!(s.contains("B2") && s.contains("TAGE-L"), "{s}");
     }
 }

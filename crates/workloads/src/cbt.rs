@@ -18,39 +18,42 @@
 //!
 //! [`docs/TRACE_FORMAT.md`]: https://github.com/cobra-bp/cobra-rs/blob/main/docs/TRACE_FORMAT.md
 //!
-//! Integers are little-endian when fixed-width; variable-length values use
-//! LEB128 ([`cobra_sim::varint`]), with ZigZag folding for signed deltas.
+//! The header is the shared [`cobra_sim::container`] prefix, the
+//! workload name, the entry PC, and the header CRC; errors are the
+//! shared [`ContainerError`]. Integers are little-endian when
+//! fixed-width; variable-length values use LEB128
+//! ([`cobra_sim::varint`]), with ZigZag folding for signed deltas.
 //! Record PCs are never stored — each record's PC is derived from its
 //! predecessor (fall-through or taken target), which is also what makes
 //! the per-record encoding 1–5 bytes instead of 16+.
 
 use cobra_core::BranchKind;
+use cobra_sim::container::{
+    self, cap, read_exact, read_u32, read_u64, ContainerError, CrcReader, Format,
+};
 use cobra_sim::{varint, Crc32c};
 use cobra_uarch::{CfiOutcome, DynInst, Op, StaticInst};
-use std::fmt;
 use std::io::{Read, Seek, SeekFrom, Write};
 
-/// File magic, the first 8 bytes of every `.cbt` file.
-pub const MAGIC: [u8; 8] = *b"COBRACBT";
-/// Trailing footer magic, the last 4 bytes of every `.cbt` file.
-pub const FOOTER_MAGIC: [u8; 4] = *b"CBTX";
-/// The (only) format version this implementation reads and writes.
-pub const VERSION: u16 = 1;
+/// The `.cbt` framing: magic `COBRACBT`, footer `CBTX`, version 1, and a
+/// 64 MiB cap on each block payload.
+pub const FORMAT: Format = Format {
+    name: "CBT",
+    magic: *b"COBRACBT",
+    footer_magic: *b"CBTX",
+    version: 1,
+    max_payload: 1 << 26,
+};
 /// Records per block written by [`CbtWriter`] (readers accept any count
 /// up to [`MAX_BLOCK_RECORDS`]).
 pub const DEFAULT_BLOCK_RECORDS: u32 = 32_768;
-
-/// Reader guard: maximum accepted block payload size.
-pub const MAX_BLOCK_BYTES: u32 = 1 << 26;
-/// Reader guard: maximum accepted records per block.
+/// Cap on records per block.
 pub const MAX_BLOCK_RECORDS: u32 = 1 << 22;
-/// Reader guard: maximum accepted static-image parcels.
+/// Cap on static-image parcels.
 pub const MAX_STATIC_PARCELS: u64 = 1 << 22;
-/// Reader guard: maximum accepted static-image payload size.
+/// Cap on the static-image payload size.
 pub const MAX_STATIC_BYTES: u64 = 1 << 26;
-/// Reader guard: maximum accepted workload-name length.
-pub const MAX_NAME_BYTES: u64 = 4096;
-/// Reader guard: maximum accepted block count.
+/// Cap on the block count.
 pub const MAX_BLOCKS: u32 = 1 << 20;
 
 /// Fixed bytes in a block header: `payload_len` (u32), `record_count`
@@ -77,189 +80,6 @@ const FLAG_DEP: u8 = 1 << 6;
 const FLAG_RESERVED: u8 = 1 << 7;
 // Static-parcel-only flag: a CFI parcel with a statically-known target.
 const FLAG_TARGET: u8 = 1 << 4;
-
-/// Everything that can go wrong reading or writing a `.cbt` file. Decode
-/// errors are precise: they name the section, block, or byte at fault so
-/// a corrupted trace is diagnosable, never silently misread.
-#[derive(Debug)]
-pub enum CbtError {
-    /// An underlying I/O failure.
-    Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file ends with the wrong [`FOOTER_MAGIC`].
-    BadFooterMagic,
-    /// The file's version is not supported by this implementation.
-    UnsupportedVersion(u16),
-    /// The header flags word has bits this implementation does not know.
-    UnsupportedFlags(u16),
-    /// The file ended (or a declared length ran out) while reading the
-    /// named section.
-    Truncated {
-        /// Which structure was being read.
-        what: &'static str,
-    },
-    /// A declared size exceeds the format's hard limits — either corrupt
-    /// or hostile; never allocated.
-    LimitExceeded {
-        /// Which declared quantity is over limit.
-        what: &'static str,
-        /// The declared value.
-        got: u64,
-        /// The maximum this reader accepts.
-        max: u64,
-    },
-    /// The header CRC-32C does not match the header bytes.
-    HeaderChecksum {
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// A block's CRC-32C does not match its header + payload bytes.
-    BlockChecksum {
-        /// Zero-based block number.
-        block: u32,
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// The static-image section's CRC-32C does not match its bytes.
-    StaticChecksum {
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// The footer's CRC-32C does not match its bytes.
-    FooterChecksum {
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// A record tag byte is malformed (unknown opcode, reserved bit set,
-    /// or flags illegal for its opcode).
-    BadRecordTag {
-        /// Zero-based block number.
-        block: u32,
-        /// Record index within the block.
-        record: u32,
-        /// The offending tag byte.
-        tag: u8,
-    },
-    /// A varint field is truncated or over-long.
-    BadVarint {
-        /// Which structure was being read.
-        what: &'static str,
-    },
-    /// A block decoded to a different record count than its header
-    /// declared, or left undecoded payload bytes.
-    BlockShape {
-        /// Zero-based block number.
-        block: u32,
-        /// Description of the mismatch.
-        detail: String,
-    },
-    /// The footer index disagrees with the blocks actually present.
-    IndexMismatch {
-        /// Description of the disagreement.
-        detail: String,
-    },
-    /// The static-image payload decoded to the wrong parcel count or left
-    /// trailing bytes.
-    StaticShape {
-        /// Description of the mismatch.
-        detail: String,
-    },
-    /// The workload name is not valid UTF-8.
-    BadName,
-    /// An instruction cannot be represented in CBT (encode side): a
-    /// control-flow/op mismatch, a not-taken unconditional, or a PC that
-    /// does not follow from the previous record.
-    Unencodable {
-        /// The instruction's PC.
-        pc: u64,
-        /// Why it cannot be encoded.
-        detail: String,
-    },
-}
-
-impl fmt::Display for CbtError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "i/o error: {e}"),
-            Self::BadMagic => write!(f, "not a CBT file (bad magic; expected `COBRACBT`)"),
-            Self::BadFooterMagic => {
-                write!(f, "bad footer magic (file truncated or not finalized)")
-            }
-            Self::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported CBT version {v} (this reader supports {VERSION})"
-                )
-            }
-            Self::UnsupportedFlags(bits) => {
-                write!(
-                    f,
-                    "unsupported header flags {bits:#06x} (reserved bits set)"
-                )
-            }
-            Self::Truncated { what } => write!(f, "file truncated while reading {what}"),
-            Self::LimitExceeded { what, got, max } => {
-                write!(f, "{what} = {got} exceeds the format limit of {max}")
-            }
-            Self::HeaderChecksum { stored, computed } => write!(
-                f,
-                "header checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            Self::BlockChecksum {
-                block,
-                stored,
-                computed,
-            } => write!(
-                f,
-                "block {block} checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            Self::StaticChecksum { stored, computed } => write!(
-                f,
-                "static-image checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            Self::FooterChecksum { stored, computed } => write!(
-                f,
-                "footer checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            Self::BadRecordTag { block, record, tag } => write!(
-                f,
-                "block {block} record {record}: malformed tag byte {tag:#04x}"
-            ),
-            Self::BadVarint { what } => write!(f, "truncated or over-long varint in {what}"),
-            Self::BlockShape { block, detail } => write!(f, "block {block}: {detail}"),
-            Self::IndexMismatch { detail } => write!(f, "footer index mismatch: {detail}"),
-            Self::StaticShape { detail } => write!(f, "static image: {detail}"),
-            Self::BadName => write!(f, "workload name is not valid UTF-8"),
-            Self::Unencodable { pc, detail } => {
-                write!(f, "instruction at {pc:#x} cannot be encoded: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CbtError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CbtError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
-    }
-}
 
 // ------------------------------------------------------------ static image
 
@@ -379,12 +199,12 @@ impl StaticImage {
     }
 
     /// Decodes a parcel payload produced by [`Self::encode_payload`].
-    fn decode_payload(base: u64, count: u64, payload: &[u8]) -> Result<Self, CbtError> {
+    fn decode_payload(base: u64, count: u64, payload: &[u8]) -> Result<Self, ContainerError> {
         let mut parcels = Vec::with_capacity(count.min(MAX_STATIC_PARCELS) as usize);
         let mut pos = 0usize;
         for i in 0..count {
             let pc = base + i * 2;
-            let tag = *payload.get(pos).ok_or(CbtError::StaticShape {
+            let tag = *payload.get(pos).ok_or(ContainerError::StaticShape {
                 detail: format!("payload ends inside parcel {i}"),
             })?;
             pos += 1;
@@ -392,7 +212,7 @@ impl StaticImage {
             let flags = tag & 0xf0;
             let parcel = if opcode < 8 {
                 if flags != 0 {
-                    return Err(CbtError::StaticShape {
+                    return Err(ContainerError::StaticShape {
                         detail: format!("parcel {i}: flags {flags:#04x} on non-CFI tag"),
                     });
                 }
@@ -402,10 +222,11 @@ impl StaticImage {
                     OP_DIV => Op::Div,
                     OP_FP => Op::Fp,
                     OP_LOAD | OP_STORE => {
-                        let addr =
-                            varint::read_u64(payload, &mut pos).ok_or(CbtError::BadVarint {
+                        let addr = varint::read_u64(payload, &mut pos).ok_or(
+                            ContainerError::BadVarint {
                                 what: "static parcel address",
-                            })?;
+                            },
+                        )?;
                         if opcode == OP_LOAD {
                             Op::Load { addr }
                         } else {
@@ -413,7 +234,7 @@ impl StaticImage {
                         }
                     }
                     _ => {
-                        return Err(CbtError::StaticShape {
+                        return Err(ContainerError::StaticShape {
                             detail: format!("parcel {i}: unknown opcode {opcode}"),
                         })
                     }
@@ -424,18 +245,19 @@ impl StaticImage {
                     target: None,
                 }
             } else {
-                let kind = code_kind(opcode).ok_or_else(|| CbtError::StaticShape {
+                let kind = code_kind(opcode).ok_or_else(|| ContainerError::StaticShape {
                     detail: format!("parcel {i}: unknown CFI opcode {opcode}"),
                 })?;
                 if flags & !FLAG_TARGET != 0 {
-                    return Err(CbtError::StaticShape {
+                    return Err(ContainerError::StaticShape {
                         detail: format!("parcel {i}: reserved flags {flags:#04x}"),
                     });
                 }
                 let target = if flags & FLAG_TARGET != 0 {
-                    let d = varint::read_i64(payload, &mut pos).ok_or(CbtError::BadVarint {
-                        what: "static parcel target",
-                    })?;
+                    let d =
+                        varint::read_i64(payload, &mut pos).ok_or(ContainerError::BadVarint {
+                            what: "static parcel target",
+                        })?;
                     Some(pc.wrapping_add(d as u64))
                 } else {
                     None
@@ -449,7 +271,7 @@ impl StaticImage {
             parcels.push(parcel);
         }
         if pos != payload.len() {
-            return Err(CbtError::StaticShape {
+            return Err(ContainerError::StaticShape {
                 detail: format!(
                     "{} trailing bytes after the last parcel",
                     payload.len() - pos
@@ -536,21 +358,16 @@ impl<W: Write> CbtWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn new(mut w: W, name: &str, entry_pc: u64) -> Result<Self, CbtError> {
-        let mut header = Vec::with_capacity(32 + name.len());
-        header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        header.extend_from_slice(&0u16.to_le_bytes()); // flags
-        varint::write_u64(&mut header, name.len() as u64);
-        header.extend_from_slice(name.as_bytes());
+    /// [`ContainerError::LimitExceeded`] if `name` is over the string
+    /// cap; I/O errors propagate.
+    pub fn new(mut w: W, name: &str, entry_pc: u64) -> Result<Self, ContainerError> {
+        let mut header = container::begin_header(&FORMAT);
+        container::put_str(&mut header, "workload name", name)?;
         varint::write_u64(&mut header, entry_pc);
-        let crc = cobra_sim::crc32c(&header);
-        w.write_all(&header)?;
-        w.write_all(&crc.to_le_bytes())?;
+        let offset = container::write_section(&mut w, &header)?;
         Ok(Self {
             w,
-            offset: header.len() as u64 + 4,
+            offset,
             payload: Vec::new(),
             block_records: 0,
             block_first_pc: 0,
@@ -581,14 +398,14 @@ impl<W: Write> CbtWriter<W> {
     ///
     /// # Errors
     ///
-    /// [`CbtError::Unencodable`] if the instruction's op/CFI fields are
+    /// [`ContainerError::Unencodable`] if the instruction's op/CFI fields are
     /// inconsistent, an unconditional CFI is marked not-taken, or its PC
     /// does not follow from the previous record (CBT derives PCs, so the
     /// stream must be a connected path). I/O errors propagate.
-    pub fn push(&mut self, inst: &DynInst) -> Result<(), CbtError> {
+    pub fn push(&mut self, inst: &DynInst) -> Result<(), ContainerError> {
         if let Some(expected) = self.next_pc {
             if inst.pc != expected {
-                return Err(CbtError::Unencodable {
+                return Err(ContainerError::Unencodable {
                     pc: inst.pc,
                     detail: format!(
                         "PC does not follow from the previous record (expected {expected:#x})"
@@ -606,7 +423,7 @@ impl<W: Write> CbtWriter<W> {
         match (inst.op, inst.cfi) {
             (Op::Cfi, Some(c)) => {
                 if c.kind != BranchKind::Conditional && !c.taken {
-                    return Err(CbtError::Unencodable {
+                    return Err(ContainerError::Unencodable {
                         pc: inst.pc,
                         detail: format!("not-taken unconditional {:?}", c.kind),
                     });
@@ -620,13 +437,13 @@ impl<W: Write> CbtWriter<W> {
                 }
             }
             (Op::Cfi, None) => {
-                return Err(CbtError::Unencodable {
+                return Err(ContainerError::Unencodable {
                     pc: inst.pc,
                     detail: "Op::Cfi without a CfiOutcome".into(),
                 })
             }
             (op, Some(_)) => {
-                return Err(CbtError::Unencodable {
+                return Err(ContainerError::Unencodable {
                     pc: inst.pc,
                     detail: format!("CfiOutcome on non-CFI op {op:?}"),
                 })
@@ -671,11 +488,25 @@ impl<W: Write> CbtWriter<W> {
         Ok(())
     }
 
-    fn flush_block(&mut self) -> Result<(), CbtError> {
+    fn flush_block(&mut self) -> Result<(), ContainerError> {
         if self.block_records == 0 {
             return Ok(());
         }
-        let payload_len = self.payload.len() as u32;
+        cap(
+            "block record count",
+            self.block_records.into(),
+            MAX_BLOCK_RECORDS.into(),
+        )?;
+        cap(
+            "block count",
+            self.index.len() as u64 + 1,
+            MAX_BLOCKS.into(),
+        )?;
+        let payload_len = cap(
+            "block payload length",
+            self.payload.len() as u64,
+            FORMAT.max_payload,
+        )? as u32;
         let mut crc = Crc32c::new();
         crc.update(&payload_len.to_le_bytes());
         crc.update(&self.block_records.to_le_bytes());
@@ -704,20 +535,25 @@ impl<W: Write> CbtWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors.
-    pub fn finish(mut self, image: &StaticImage) -> Result<CbtSummary, CbtError> {
+    /// [`ContainerError::LimitExceeded`] if a block or the static image
+    /// is over the format's caps; I/O errors propagate.
+    pub fn finish(mut self, image: &StaticImage) -> Result<CbtSummary, ContainerError> {
         self.flush_block()?;
         let static_offset = self.offset;
-        let mut section = Vec::new();
-        varint::write_u64(&mut section, image.base);
-        varint::write_u64(&mut section, image.parcels.len() as u64);
         let payload = image.encode_payload();
-        varint::write_u64(&mut section, payload.len() as u64);
+        let mut section = Vec::with_capacity(payload.len() + 16);
+        varint::write_u64(&mut section, image.base);
+        let parcels = image.parcels.len() as u64;
+        let parcels = cap("static-image parcel count", parcels, MAX_STATIC_PARCELS)?;
+        varint::write_u64(&mut section, parcels);
+        let len = cap(
+            "static-image payload length",
+            payload.len() as u64,
+            MAX_STATIC_BYTES,
+        )?;
+        varint::write_u64(&mut section, len);
         section.extend_from_slice(&payload);
-        let crc = cobra_sim::crc32c(&section);
-        self.w.write_all(&section)?;
-        self.w.write_all(&crc.to_le_bytes())?;
-        self.offset += section.len() as u64 + 4;
+        self.offset += container::write_section(&mut self.w, &section)?;
 
         let mut footer = Vec::with_capacity(32 + self.index.len() * INDEX_ENTRY_BYTES as usize);
         footer.extend_from_slice(&static_offset.to_le_bytes());
@@ -728,13 +564,11 @@ impl<W: Write> CbtWriter<W> {
             footer.extend_from_slice(&b.first_pc.to_le_bytes());
         }
         footer.extend_from_slice(&self.total.to_le_bytes());
-        let crc = cobra_sim::crc32c(&footer);
         let footer_len = footer.len() as u32 + 4;
-        self.w.write_all(&footer)?;
-        self.w.write_all(&crc.to_le_bytes())?;
+        self.offset += container::write_section(&mut self.w, &footer)?;
         self.w.write_all(&footer_len.to_le_bytes())?;
-        self.w.write_all(&FOOTER_MAGIC)?;
-        self.offset += footer.len() as u64 + 4 + 4 + 4;
+        self.w.write_all(&FORMAT.footer_magic)?;
+        self.offset += 8;
         self.w.flush()?;
         Ok(CbtSummary {
             records: self.total,
@@ -781,83 +615,47 @@ impl<R: Read + Seek> CbtReader<R> {
     ///
     /// # Errors
     ///
-    /// Any [`CbtError`] describing the first malformed structure found.
-    pub fn open(mut r: R) -> Result<Self, CbtError> {
+    /// Any [`ContainerError`] describing the first malformed structure found.
+    pub fn open(mut r: R) -> Result<Self, ContainerError> {
         let file_len = r.seek(SeekFrom::End(0))?;
         r.seek(SeekFrom::Start(0))?;
 
         // --- header ---
-        let mut fixed = [0u8; 12];
-        read_exact(&mut r, &mut fixed, "header")?;
-        if fixed[..8] != MAGIC {
-            return Err(CbtError::BadMagic);
-        }
-        let version = u16::from_le_bytes([fixed[8], fixed[9]]);
-        if version != VERSION {
-            return Err(CbtError::UnsupportedVersion(version));
-        }
-        let flags = u16::from_le_bytes([fixed[10], fixed[11]]);
-        if flags != 0 {
-            return Err(CbtError::UnsupportedFlags(flags));
-        }
-        let mut header_bytes = fixed.to_vec();
-        let name_len = read_varint_stream(&mut r, &mut header_bytes, "header name length")?;
-        if name_len > MAX_NAME_BYTES {
-            return Err(CbtError::LimitExceeded {
-                what: "workload-name length",
-                got: name_len,
-                max: MAX_NAME_BYTES,
-            });
-        }
-        let mut name_buf = vec![0u8; name_len as usize];
-        read_exact(&mut r, &mut name_buf, "workload name")?;
-        header_bytes.extend_from_slice(&name_buf);
-        let name = String::from_utf8(name_buf).map_err(|_| CbtError::BadName)?;
-        let entry_pc = read_varint_stream(&mut r, &mut header_bytes, "header entry PC")?;
-        let stored = read_u32(&mut r, "header checksum")?;
-        let computed = cobra_sim::crc32c(&header_bytes);
-        if stored != computed {
-            return Err(CbtError::HeaderChecksum { stored, computed });
-        }
-        let header_end = header_bytes.len() as u64 + 4;
+        let mut h = container::read_header(&mut r, &FORMAT)?;
+        let name = h.string("workload name")?;
+        let entry_pc = h.varint("header entry PC")?;
+        let header_end = h.check("header checksum")?;
 
         // --- footer ---
         if file_len < header_end + 8 {
-            return Err(CbtError::Truncated { what: "footer" });
+            return Err(ContainerError::Truncated { what: "footer" });
         }
         r.seek(SeekFrom::Start(file_len - 8))?;
         let footer_len = u64::from(read_u32(&mut r, "footer length")?);
         let mut magic = [0u8; 4];
         read_exact(&mut r, &mut magic, "footer magic")?;
-        if magic != FOOTER_MAGIC {
-            return Err(CbtError::BadFooterMagic);
+        if magic != FORMAT.footer_magic {
+            return Err(ContainerError::BadFooterMagic);
         }
         let min_footer = 8 + 4 + 8 + 4;
         if footer_len < min_footer || footer_len > file_len.saturating_sub(header_end + 8) {
-            return Err(CbtError::Truncated { what: "footer" });
+            return Err(ContainerError::Truncated { what: "footer" });
         }
         let footer_start = file_len - 8 - footer_len;
         r.seek(SeekFrom::Start(footer_start))?;
-        let mut footer = vec![0u8; footer_len as usize];
-        read_exact(&mut r, &mut footer, "footer")?;
-        let (body, crc_bytes) = footer.split_at(footer.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        let computed = cobra_sim::crc32c(body);
-        if stored != computed {
-            return Err(CbtError::FooterChecksum { stored, computed });
-        }
-        let mut pos = 0usize;
-        let static_offset = take_u64(body, &mut pos, "footer static offset")?;
-        let block_count = take_u32(body, &mut pos, "footer block count")?;
-        if block_count > MAX_BLOCKS {
-            return Err(CbtError::LimitExceeded {
-                what: "block count",
-                got: u64::from(block_count),
-                max: u64::from(MAX_BLOCKS),
-            });
-        }
-        if body.len() as u64 != 8 + 4 + u64::from(block_count) * INDEX_ENTRY_BYTES + 8 {
-            return Err(CbtError::IndexMismatch {
+        let mut footer = vec![0u8; footer_len as usize - 4];
+        let mut section = CrcReader::new(&mut r);
+        section.bytes(&mut footer, "footer")?;
+        section.check("footer checksum")?;
+        let mut body = &footer[..];
+        let static_offset = read_u64(&mut body, "footer static offset")?;
+        let block_count = cap(
+            "block count",
+            read_u32(&mut body, "footer block count")?.into(),
+            MAX_BLOCKS.into(),
+        )? as u32;
+        if body.len() as u64 != u64::from(block_count) * INDEX_ENTRY_BYTES + 8 {
+            return Err(ContainerError::IndexMismatch {
                 detail: format!(
                     "footer length {} does not fit {} index entries",
                     footer_len, block_count
@@ -868,23 +666,23 @@ impl<R: Read + Seek> CbtReader<R> {
         let mut prev_offset = header_end;
         let mut prev_index = 0u64;
         for i in 0..block_count {
-            let offset = take_u64(body, &mut pos, "index entry offset")?;
-            let first_index = take_u64(body, &mut pos, "index entry record index")?;
-            let first_pc = take_u64(body, &mut pos, "index entry PC")?;
+            let offset = read_u64(&mut body, "index entry offset")?;
+            let first_index = read_u64(&mut body, "index entry record index")?;
+            let first_pc = read_u64(&mut body, "index entry PC")?;
             if offset < prev_offset || offset >= static_offset {
-                return Err(CbtError::IndexMismatch {
+                return Err(ContainerError::IndexMismatch {
                     detail: format!(
                         "block {i} offset {offset:#x} out of order or outside the block region"
                     ),
                 });
             }
             if i > 0 && first_index <= prev_index {
-                return Err(CbtError::IndexMismatch {
+                return Err(ContainerError::IndexMismatch {
                     detail: format!("block {i} first record index {first_index} not increasing"),
                 });
             }
             if i == 0 && (offset != header_end || first_index != 0) {
-                return Err(CbtError::IndexMismatch {
+                return Err(ContainerError::IndexMismatch {
                     detail: "block 0 must start at the header end with record 0".into(),
                 });
             }
@@ -897,41 +695,22 @@ impl<R: Read + Seek> CbtReader<R> {
                 records: 0, // filled from block headers on read
             });
         }
-        let total = take_u64(body, &mut pos, "footer record total")?;
+        let total = read_u64(&mut body, "footer record total")?;
         if static_offset < header_end || static_offset >= footer_start {
-            return Err(CbtError::IndexMismatch {
+            return Err(ContainerError::IndexMismatch {
                 detail: format!("static-image offset {static_offset:#x} outside the file body"),
             });
         }
 
         // --- static image ---
         r.seek(SeekFrom::Start(static_offset))?;
-        let mut section = Vec::new();
-        let base = read_varint_stream(&mut r, &mut section, "static-image base PC")?;
-        let parcel_count = read_varint_stream(&mut r, &mut section, "static-image parcel count")?;
-        if parcel_count > MAX_STATIC_PARCELS {
-            return Err(CbtError::LimitExceeded {
-                what: "static-image parcel count",
-                got: parcel_count,
-                max: MAX_STATIC_PARCELS,
-            });
-        }
-        let payload_len = read_varint_stream(&mut r, &mut section, "static-image payload length")?;
-        if payload_len > MAX_STATIC_BYTES {
-            return Err(CbtError::LimitExceeded {
-                what: "static-image payload length",
-                got: payload_len,
-                max: MAX_STATIC_BYTES,
-            });
-        }
+        let mut section = CrcReader::new(&mut r);
+        let base = section.varint("static-image base PC")?;
+        let parcel_count = section.capped("static-image parcel count", MAX_STATIC_PARCELS)?;
+        let payload_len = section.capped("static-image payload length", MAX_STATIC_BYTES)?;
         let mut payload = vec![0u8; payload_len as usize];
-        read_exact(&mut r, &mut payload, "static-image payload")?;
-        section.extend_from_slice(&payload);
-        let stored = read_u32(&mut r, "static-image checksum")?;
-        let computed = cobra_sim::crc32c(&section);
-        if stored != computed {
-            return Err(CbtError::StaticChecksum { stored, computed });
-        }
+        section.bytes(&mut payload, "static-image payload")?;
+        section.check("static-image checksum")?;
         let image = StaticImage::decode_payload(base, parcel_count, &payload)?;
 
         Ok(Self {
@@ -973,32 +752,28 @@ impl<R: Read + Seek> CbtReader<R> {
     ///
     /// # Errors
     ///
-    /// [`CbtError::BlockChecksum`] on corruption, [`CbtError::BadRecordTag`]
-    /// / [`CbtError::BlockShape`] on malformed payloads, and I/O errors.
+    /// [`ContainerError::BlockChecksum`] on corruption, [`ContainerError::BadRecordTag`]
+    /// / [`ContainerError::BlockShape`] on malformed payloads, and I/O errors.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range (callers iterate `0..blocks()`).
-    pub fn read_block(&mut self, i: usize) -> Result<Vec<DynInst>, CbtError> {
+    pub fn read_block(&mut self, i: usize) -> Result<Vec<DynInst>, ContainerError> {
         let meta = self.index[i];
         let block = i as u32;
         self.r.seek(SeekFrom::Start(meta.offset))?;
         let payload_len = read_u32(&mut self.r, "block payload length")?;
-        if payload_len > MAX_BLOCK_BYTES {
-            return Err(CbtError::LimitExceeded {
-                what: "block payload length",
-                got: u64::from(payload_len),
-                max: u64::from(MAX_BLOCK_BYTES),
-            });
-        }
+        cap(
+            "block payload length",
+            payload_len.into(),
+            FORMAT.max_payload,
+        )?;
         let record_count = read_u32(&mut self.r, "block record count")?;
-        if record_count > MAX_BLOCK_RECORDS {
-            return Err(CbtError::LimitExceeded {
-                what: "block record count",
-                got: u64::from(record_count),
-                max: u64::from(MAX_BLOCK_RECORDS),
-            });
-        }
+        cap(
+            "block record count",
+            record_count.into(),
+            MAX_BLOCK_RECORDS.into(),
+        )?;
         let first_pc = read_u64(&mut self.r, "block first PC")?;
         let stored = read_u32(&mut self.r, "block checksum")?;
         let mut payload = vec![0u8; payload_len as usize];
@@ -1010,14 +785,14 @@ impl<R: Read + Seek> CbtReader<R> {
         crc.update(&payload);
         let computed = crc.finish();
         if stored != computed {
-            return Err(CbtError::BlockChecksum {
+            return Err(ContainerError::BlockChecksum {
                 block,
                 stored,
                 computed,
             });
         }
         if first_pc != meta.first_pc {
-            return Err(CbtError::IndexMismatch {
+            return Err(ContainerError::IndexMismatch {
                 detail: format!(
                     "block {block} header PC {first_pc:#x} disagrees with the index ({:#x})",
                     meta.first_pc
@@ -1033,14 +808,14 @@ impl<R: Read + Seek> CbtReader<R> {
     ///
     /// # Errors
     ///
-    /// The first [`CbtError`] encountered.
-    pub fn validate(&mut self) -> Result<(), CbtError> {
+    /// The first [`ContainerError`] encountered.
+    pub fn validate(&mut self) -> Result<(), ContainerError> {
         let mut running_total = 0u64;
         let mut expected_pc: Option<u64> = None;
         for i in 0..self.index.len() {
             let meta = self.index[i];
             if meta.first_index != running_total {
-                return Err(CbtError::IndexMismatch {
+                return Err(ContainerError::IndexMismatch {
                     detail: format!(
                         "block {i} first record index {} but {} records precede it",
                         meta.first_index, running_total
@@ -1050,7 +825,7 @@ impl<R: Read + Seek> CbtReader<R> {
             let insts = self.read_block(i)?;
             if let (Some(exp), Some(first)) = (expected_pc, insts.first()) {
                 if first.pc != exp {
-                    return Err(CbtError::BlockShape {
+                    return Err(ContainerError::BlockShape {
                         block: i as u32,
                         detail: format!(
                             "first PC {:#x} does not chain from the previous block ({exp:#x})",
@@ -1068,7 +843,7 @@ impl<R: Read + Seek> CbtReader<R> {
             running_total += insts.len() as u64;
         }
         if running_total != self.total {
-            return Err(CbtError::IndexMismatch {
+            return Err(ContainerError::IndexMismatch {
                 detail: format!(
                     "footer declares {} records but blocks hold {running_total}",
                     self.total
@@ -1085,30 +860,30 @@ fn decode_block(
     first_pc: u64,
     record_count: u32,
     payload: &[u8],
-) -> Result<Vec<DynInst>, CbtError> {
+) -> Result<Vec<DynInst>, ContainerError> {
     let mut out = Vec::with_capacity(record_count as usize);
     let mut pos = 0usize;
     let mut pc = first_pc;
     let mut prev_mem_addr = 0u64;
     for record in 0..record_count {
-        let tag = *payload.get(pos).ok_or(CbtError::BlockShape {
+        let tag = *payload.get(pos).ok_or(ContainerError::BlockShape {
             block,
             detail: format!("payload ends inside record {record}"),
         })?;
         pos += 1;
         if tag & FLAG_RESERVED != 0 {
-            return Err(CbtError::BadRecordTag { block, record, tag });
+            return Err(ContainerError::BadRecordTag { block, record, tag });
         }
         let opcode = tag & 0x0f;
         let dep = if tag & FLAG_DEP != 0 {
-            let d = *payload.get(pos).ok_or(CbtError::BlockShape {
+            let d = *payload.get(pos).ok_or(ContainerError::BlockShape {
                 block,
                 detail: format!("payload ends inside record {record} dep byte"),
             })?;
             pos += 1;
             if d == 0 {
                 // A zero dep with the flag set is non-canonical.
-                return Err(CbtError::BadRecordTag { block, record, tag });
+                return Err(ContainerError::BadRecordTag { block, record, tag });
             }
             d
         } else {
@@ -1116,7 +891,7 @@ fn decode_block(
         };
         let inst = if opcode < 8 {
             if tag & (FLAG_TAKEN | FLAG_SFB) != 0 {
-                return Err(CbtError::BadRecordTag { block, record, tag });
+                return Err(ContainerError::BadRecordTag { block, record, tag });
             }
             let op = match opcode {
                 OP_INT => Op::Int,
@@ -1124,9 +899,10 @@ fn decode_block(
                 OP_DIV => Op::Div,
                 OP_FP => Op::Fp,
                 OP_LOAD | OP_STORE => {
-                    let delta = varint::read_i64(payload, &mut pos).ok_or(CbtError::BadVarint {
-                        what: "record memory-address delta",
-                    })?;
+                    let delta =
+                        varint::read_i64(payload, &mut pos).ok_or(ContainerError::BadVarint {
+                            what: "record memory-address delta",
+                        })?;
                     let addr = prev_mem_addr.wrapping_add(delta as u64);
                     prev_mem_addr = addr;
                     if opcode == OP_LOAD {
@@ -1135,7 +911,7 @@ fn decode_block(
                         Op::Store { addr }
                     }
                 }
-                _ => return Err(CbtError::BadRecordTag { block, record, tag }),
+                _ => return Err(ContainerError::BadRecordTag { block, record, tag }),
             };
             let inst = DynInst {
                 pc,
@@ -1146,12 +922,13 @@ fn decode_block(
             pc += 2;
             inst
         } else {
-            let kind = code_kind(opcode).ok_or(CbtError::BadRecordTag { block, record, tag })?;
+            let kind =
+                code_kind(opcode).ok_or(ContainerError::BadRecordTag { block, record, tag })?;
             let taken = tag & FLAG_TAKEN != 0;
             if kind != BranchKind::Conditional && !taken {
-                return Err(CbtError::BadRecordTag { block, record, tag });
+                return Err(ContainerError::BadRecordTag { block, record, tag });
             }
-            let delta = varint::read_i64(payload, &mut pos).ok_or(CbtError::BadVarint {
+            let delta = varint::read_i64(payload, &mut pos).ok_or(ContainerError::BadVarint {
                 what: "record branch-target delta",
             })?;
             let target = (pc + 2).wrapping_add(delta as u64);
@@ -1172,7 +949,7 @@ fn decode_block(
         out.push(inst);
     }
     if pos != payload.len() {
-        return Err(CbtError::BlockShape {
+        return Err(ContainerError::BlockShape {
             block,
             detail: format!(
                 "{} trailing bytes after the last record",
@@ -1181,64 +958,6 @@ fn decode_block(
         });
     }
     Ok(out)
-}
-
-// -------------------------------------------------------------- IO helpers
-
-fn read_exact<R: Read>(r: &mut R, buf: &mut [u8], what: &'static str) -> Result<(), CbtError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            CbtError::Truncated { what }
-        } else {
-            CbtError::Io(e)
-        }
-    })
-}
-
-fn read_u32<R: Read>(r: &mut R, what: &'static str) -> Result<u32, CbtError> {
-    let mut b = [0u8; 4];
-    read_exact(r, &mut b, what)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R, what: &'static str) -> Result<u64, CbtError> {
-    let mut b = [0u8; 8];
-    read_exact(r, &mut b, what)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Reads a varint byte-by-byte from a stream, appending the raw bytes to
-/// `raw` (for checksumming).
-fn read_varint_stream<R: Read>(
-    r: &mut R,
-    raw: &mut Vec<u8>,
-    what: &'static str,
-) -> Result<u64, CbtError> {
-    let start = raw.len();
-    for _ in 0..varint::MAX_VARINT_LEN {
-        let mut b = [0u8; 1];
-        read_exact(r, &mut b, what)?;
-        raw.push(b[0]);
-        if b[0] & 0x80 == 0 {
-            let mut pos = 0;
-            return varint::read_u64(&raw[start..], &mut pos).ok_or(CbtError::BadVarint { what });
-        }
-    }
-    Err(CbtError::BadVarint { what })
-}
-
-fn take_u32(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u32, CbtError> {
-    let end = *pos + 4;
-    let bytes = buf.get(*pos..end).ok_or(CbtError::Truncated { what })?;
-    *pos = end;
-    Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
-}
-
-fn take_u64(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, CbtError> {
-    let end = *pos + 8;
-    let bytes = buf.get(*pos..end).ok_or(CbtError::Truncated { what })?;
-    *pos = end;
-    Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
 }
 
 #[cfg(test)]
@@ -1385,7 +1104,10 @@ mod tests {
             cfi: None,
             dep: 0,
         };
-        assert!(matches!(w.push(&bad), Err(CbtError::Unencodable { .. })));
+        assert!(matches!(
+            w.push(&bad),
+            Err(ContainerError::Unencodable { .. })
+        ));
         let not_taken_jump = DynInst {
             pc: 0,
             op: Op::Cfi,
@@ -1399,7 +1121,7 @@ mod tests {
         };
         assert!(matches!(
             w.push(&not_taken_jump),
-            Err(CbtError::Unencodable { .. })
+            Err(ContainerError::Unencodable { .. })
         ));
     }
 
@@ -1408,36 +1130,7 @@ mod tests {
         let mut w = CbtWriter::new(Vec::new(), "x", 0).unwrap();
         w.push(&DynInst::int(0x1000)).unwrap();
         let err = w.push(&DynInst::int(0x2000)).unwrap_err();
-        assert!(matches!(err, CbtError::Unencodable { .. }), "{err}");
-    }
-
-    #[test]
-    fn truncation_is_detected_everywhere() {
-        let bytes = write_sample(16);
-        // Every strict prefix must fail to open or fail to validate —
-        // never panic, never succeed.
-        for cut in 0..bytes.len() {
-            let r = CbtReader::open(Cursor::new(bytes[..cut].to_vec()));
-            if let Ok(mut r) = r {
-                assert!(
-                    r.validate().is_err(),
-                    "truncation at {cut}/{} went undetected",
-                    bytes.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bit_flips_are_detected() {
-        let bytes = write_sample(16);
-        // Flip one bit in every byte: open+validate must report an error.
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x10;
-            let outcome = CbtReader::open(Cursor::new(bad)).and_then(|mut r| r.validate());
-            assert!(outcome.is_err(), "bit flip at byte {i} went undetected");
-        }
+        assert!(matches!(err, ContainerError::Unencodable { .. }), "{err}");
     }
 
     #[test]
@@ -1463,14 +1156,14 @@ mod tests {
         bad[off as usize] ^= 0xff;
         let mut r = CbtReader::open(Cursor::new(bad)).unwrap();
         match r.read_block(2) {
-            Err(CbtError::BlockChecksum { block: 2, .. }) => {}
+            Err(ContainerError::BlockChecksum { block: 2, .. }) => {}
             other => panic!("expected BlockChecksum for block 2, got {other:?}"),
         }
     }
 
     #[test]
     fn error_messages_are_precise() {
-        let e = CbtError::BlockChecksum {
+        let e = ContainerError::BlockChecksum {
             block: 3,
             stored: 0xdead_beef,
             computed: 0x1234_5678,
@@ -1478,7 +1171,9 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("block 3"), "{s}");
         assert!(s.contains("0xdeadbeef"), "{s}");
-        assert!(CbtError::BadMagic.to_string().contains("COBRACBT"));
+        assert!(ContainerError::BadMagic(&FORMAT)
+            .to_string()
+            .contains("COBRACBT"));
     }
 
     impl<R: Read + Seek> CbtReader<R> {

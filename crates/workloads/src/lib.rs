@@ -32,7 +32,9 @@ pub mod spec17;
 pub mod synth;
 
 pub use behavior::{BehaviorState, BranchBehavior};
-pub use cbt::{CbtError, CbtReader, CbtSummary, CbtWriter, StaticImage};
+pub use cbt::{CbtReader, CbtSummary, CbtWriter, StaticImage};
+/// The error type of every container reader and writer.
+pub use cobra_sim::container::ContainerError;
 pub use replay::{capture_stream, capture_to_file, TraceProgram};
 pub use spec17::{all_spec17, spec17, SPEC17_NAMES};
 pub use synth::{BranchMix, ProgramSpec, SyntheticProgram};

@@ -11,9 +11,10 @@
 //! Replay streams block-by-block: memory stays O(block) however long the
 //! trace is. [`TraceProgram::open`] runs a full integrity pass
 //! ([`CbtReader::validate`]) first, so a corrupted file is rejected up
-//! front with a precise [`CbtError`] instead of failing mid-simulation.
+//! front with a precise [`ContainerError`] instead of failing mid-simulation.
 
-use crate::cbt::{CbtError, CbtReader, CbtSummary, CbtWriter, StaticImage};
+use crate::cbt::{CbtReader, CbtSummary, CbtWriter, StaticImage};
+use cobra_sim::container::ContainerError;
 use cobra_uarch::{DynInst, InstructionStream, StaticInst};
 use std::io::{BufReader, Cursor, Read, Seek, Write};
 use std::path::Path;
@@ -29,7 +30,7 @@ use std::path::Path;
 ///
 /// # Errors
 ///
-/// [`CbtError::Unencodable`] if the stream yields instructions CBT cannot
+/// [`ContainerError::Unencodable`] if the stream yields instructions CBT cannot
 /// represent (inconsistent op/CFI fields, disconnected PCs); I/O errors
 /// from `out`.
 pub fn capture_stream<S, W>(
@@ -37,7 +38,7 @@ pub fn capture_stream<S, W>(
     insts: u64,
     name: &str,
     out: W,
-) -> Result<CbtSummary, CbtError>
+) -> Result<CbtSummary, ContainerError>
 where
     S: InstructionStream + ?Sized,
     W: Write,
@@ -68,7 +69,7 @@ pub fn capture_to_file<S>(
     insts: u64,
     name: &str,
     path: &Path,
-) -> Result<CbtSummary, CbtError>
+) -> Result<CbtSummary, ContainerError>
 where
     S: InstructionStream + ?Sized,
 {
@@ -98,8 +99,8 @@ impl TraceProgram<BufReader<std::fs::File>> {
     ///
     /// # Errors
     ///
-    /// Any [`CbtError`] from parsing or the integrity pass.
-    pub fn open(path: &Path) -> Result<Self, CbtError> {
+    /// Any [`ContainerError`] from parsing or the integrity pass.
+    pub fn open(path: &Path) -> Result<Self, ContainerError> {
         let file = std::fs::File::open(path)?;
         Self::from_reader(BufReader::new(file))
     }
@@ -110,8 +111,8 @@ impl TraceProgram<Cursor<Vec<u8>>> {
     ///
     /// # Errors
     ///
-    /// Any [`CbtError`] from parsing or the integrity pass.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, CbtError> {
+    /// Any [`ContainerError`] from parsing or the integrity pass.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, ContainerError> {
         Self::from_reader(Cursor::new(bytes))
     }
 }
@@ -121,8 +122,8 @@ impl<R: Read + Seek> TraceProgram<R> {
     ///
     /// # Errors
     ///
-    /// Any [`CbtError`] from parsing or the integrity pass.
-    pub fn from_reader(r: R) -> Result<Self, CbtError> {
+    /// Any [`ContainerError`] from parsing or the integrity pass.
+    pub fn from_reader(r: R) -> Result<Self, ContainerError> {
         let mut reader = CbtReader::open(r)?;
         reader.validate()?;
         Ok(Self {
