@@ -25,7 +25,7 @@
 //! Exit status: 0 on success, 1 on a capture or verify failure, 2 on a
 //! usage error.
 
-use cobra_bench::{capture_len, capture_workload, run_insts, workload_by_name, KERNEL_NAMES};
+use cobra_bench::{capture_len, capture_workload, workload_by_name, KERNEL_NAMES};
 use cobra_uarch::InstructionStream;
 use cobra_workloads::{ProgramSpec, TraceProgram, SPEC17_NAMES};
 use std::path::PathBuf;
@@ -104,7 +104,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     Ok(Some(Options {
         workloads,
         out,
-        insts: insts.unwrap_or_else(run_insts),
+        insts: insts.unwrap_or_else(|| cobra_core::config::get().insts),
         verify,
     }))
 }

@@ -28,8 +28,8 @@
 //! Exit status: 0 on success, 1 on a capture or verify failure, 2 on a
 //! usage error.
 
+use cobra_bench::ckpt_file_name;
 use cobra_bench::runner::parallel_map;
-use cobra_bench::{ckpt_file_name, run_insts};
 use cobra_core::composer::Design;
 use cobra_core::designs;
 use cobra_uarch::{read_meta, restore_checkpoint, save_checkpoint, CbsMeta, Core, CoreConfig};
@@ -147,7 +147,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         workloads,
         designs: design_names,
         out,
-        at: at.unwrap_or_else(|| run_insts() * 2 / 5),
+        at: at.unwrap_or_else(|| cobra_core::config::get().insts * 2 / 5),
         verify,
     }))
 }

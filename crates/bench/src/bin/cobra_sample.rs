@@ -32,16 +32,17 @@
 
 use cobra_bench::runner::parallel_map;
 use cobra_bench::{
-    interval_dir, jsonv,
+    jsonv,
     jsonv::Json,
-    metrics_file_name, run_insts,
+    metrics_file_name,
     sampling::{
-        self, derive_plan, load_plan, plan_file_name, render_plan, run_sampled, slice_ckpt_name,
+        derive_plan, load_plan, plan_file_name, render_plan, run_sampled, slice_ckpt_name,
         SamplePlan,
     },
     workload_by_name,
 };
 use cobra_core::composer::Design;
+use cobra_core::config;
 use cobra_core::designs;
 use cobra_uarch::{read_metrics, save_checkpoint, CbsMeta, Core, CoreConfig};
 use cobra_workloads::{ProgramSpec, SPEC17_NAMES};
@@ -243,7 +244,10 @@ fn cmd_plan(o: &Options) -> Result<(), String> {
     if o.workloads.is_empty() {
         return Err("no workloads named (try `--all`)".into());
     }
-    let metrics = o.metrics.clone().unwrap_or_else(interval_dir);
+    let metrics = o
+        .metrics
+        .clone()
+        .unwrap_or_else(|| config::get().interval_dir.clone());
     let out = o.out.clone().unwrap_or_else(|| o.plans.clone());
     std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
     for w in &o.workloads {
@@ -355,7 +359,7 @@ fn run_full(design: &Design, spec: &ProgramSpec, plan: &SamplePlan) -> Result<f6
     let cfg = CoreConfig::boom_4wide();
     let mut core =
         Core::new(design, cfg, spec.build()).map_err(|e| format!("compose failed: {e}"))?;
-    let report = core.run_with_warmup(plan.warmup_insts, run_insts(), &spec.name);
+    let report = core.run_with_warmup(plan.warmup_insts, config::get().insts, &spec.name);
     Ok(report.counters.mpki())
 }
 
@@ -453,7 +457,7 @@ fn read_golden(path: &Path) -> Result<Vec<GoldenCell>, String> {
 fn cmd_bless(o: &Options) -> Result<(), String> {
     let designs = selected_designs(o)?;
     let specs = resolve_workloads(o)?;
-    let insts = run_insts();
+    let insts = config::get().insts;
     let mut jobs = Vec::new();
     for (name, spec) in &specs {
         let plan = load_plan(&o.plans.join(plan_file_name(name)))?;
@@ -497,7 +501,7 @@ fn cmd_check(o: &Options) -> Result<bool, String> {
     if golden.is_empty() {
         return Err(format!("{}: no golden cells", o.golden.display()));
     }
-    let insts = run_insts();
+    let insts = config::get().insts;
     for c in &golden {
         if c.insts != insts {
             return Err(format!(
@@ -590,8 +594,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Sampled runs must not recurse into the sampled env arm.
-    if sampling::sample_warmup(0) > 0 && std::env::var_os("COBRA_SAMPLE_DIR").is_some() {
+    if config::get().sample_dir.is_some() {
         eprintln!("cobra-sample: note: COBRA_SAMPLE_DIR is ignored here (plans come from --plans)");
     }
     let outcome = match o.command.as_str() {

@@ -25,7 +25,6 @@
 //! Exit status: 0 on success (for `--validate`: every member passes),
 //! 1 on failure, 2 on a usage error.
 
-use cobra_bench::runner::threads;
 use cobra_bench::sampling::{load_plan, plan_file_name, run_sampled};
 use cobra_bench::search::{
     parse_frontier_json, prune_statically, render_frontier_human, render_frontier_json, run_search,
@@ -34,7 +33,8 @@ use cobra_bench::search::{
 use cobra_bench::serve::client::Client;
 use cobra_bench::serve::protocol::{report_from_json, submit_line, JobTarget};
 use cobra_bench::serve::server::Listen;
-use cobra_bench::{jsonv::Json, run_insts, workload_by_name};
+use cobra_bench::{jsonv::Json, workload_by_name};
+use cobra_core::config;
 use cobra_core::designs;
 use cobra_uarch::CoreConfig;
 use cobra_workloads::ProgramSpec;
@@ -174,7 +174,7 @@ fn eval_local(
 ) -> Result<Vec<(String, f64)>, String> {
     let design = designs::from_topology(&cand.topology, cand.ghist_bits, cand.lhist_entries);
     let cfg = CoreConfig::boom_4wide();
-    let measure = run_insts();
+    let measure = config::get().insts;
     let warmup = measure * 2 / 5;
     let mut out = Vec::with_capacity(specs.len());
     for (name, spec) in specs {
@@ -219,7 +219,7 @@ fn eval_serve(
         ghist_bits: cand.ghist_bits,
         lhist_entries: cand.lhist_entries,
     };
-    let insts = run_insts();
+    let insts = config::get().insts;
     let mut out = Vec::with_capacity(specs.len());
     for (name, _) in specs {
         let id = next_id.fetch_add(1, Ordering::Relaxed);
@@ -304,7 +304,7 @@ fn main() -> ExitCode {
         o.cfg.generations,
         o.cfg.population,
         o.workloads.join(", "),
-        threads(),
+        config::get().threads,
         match (&listen, &o.plans) {
             (Some(_), _) => "evaluating via cobra-serve".to_string(),
             (None, Some(p)) => format!("phase-sampled via {}", p.display()),

@@ -38,8 +38,7 @@ use cobra_bench::serve::client::Client;
 use cobra_bench::serve::exec::execute_job;
 use cobra_bench::serve::protocol::{self, JobTarget};
 use cobra_bench::serve::server::{Listen, ServeConfig, Server};
-use cobra_bench::serve::{env_cache_dir, env_insts_cap, env_progress_stride, env_queue_cap};
-use cobra_bench::{run_insts, runner, workload_by_name};
+use cobra_bench::{runner, workload_by_name};
 use cobra_core::designs;
 use cobra_uarch::CoreConfig;
 use cobra_workloads::SPEC17_NAMES;
@@ -92,18 +91,21 @@ struct Options {
     shutdown: bool,
 }
 
+/// Parses `args` over the environment knobs: each flag overrides the
+/// config field it duplicates.
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+    let config = cobra_core::config::get();
     let mut o = Options {
         listen: Listen::parse(DEFAULT_LISTEN).expect("default listen endpoint parses"),
-        threads: runner::threads(),
-        queue_cap: env_queue_cap(),
-        cache_dir: env_cache_dir(),
-        insts_cap: env_insts_cap(),
-        progress: env_progress_stride(),
+        threads: config.threads,
+        queue_cap: config.serve_queue,
+        cache_dir: config.serve_cache.clone(),
+        insts_cap: config.serve_insts_cap,
+        progress: config.serve_progress,
         bench_client: false,
         direct: false,
         connections: 2,
-        insts: run_insts(),
+        insts: config.insts,
         expect_cache: None,
         shutdown: false,
     };
@@ -420,9 +422,9 @@ fn run_client(o: &Options) -> Result<(), String> {
             wall.as_secs_f64(),
             summary.join(" ")
         );
-        if let Ok(path) = std::env::var("COBRA_METRICS") {
-            runner::write_metrics(&path, &metrics_lines)
-                .map_err(|e| format!("COBRA_METRICS {path}: {e}"))?;
+        if let Some(path) = &cobra_core::config::get().metrics {
+            runner::write_metrics(path, &metrics_lines)
+                .map_err(|e| format!("COBRA_METRICS {}: {e}", path.display()))?;
         }
         if mismatched > 0 {
             return Err(format!(

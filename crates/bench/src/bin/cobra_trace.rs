@@ -24,7 +24,7 @@
 //! Exit status: 0 on success, 1 when `--selfcheck` finds a violation,
 //! 2 on a usage error.
 
-use cobra_bench::{jsonv, run_insts, runner};
+use cobra_bench::{jsonv, runner};
 use cobra_core::designs;
 use cobra_core::obs::trace::{TraceFormat, TraceSink};
 use cobra_core::obs::{AttributionReport, PcBlame};
@@ -497,7 +497,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     };
-    let measure = o.insts.unwrap_or_else(run_insts);
+    let measure = o.insts.unwrap_or_else(|| cobra_core::config::get().insts);
 
     let mut core = match Core::new(&design, CoreConfig::default(), spec.build()) {
         Ok(c) => c,
@@ -563,7 +563,7 @@ fn main() -> ExitCode {
             cache: None,
         };
         let line = runner::metrics_record("cobra-trace", &result);
-        if let Err(e) = runner::write_metrics(path, std::slice::from_ref(&line)) {
+        if let Err(e) = runner::write_metrics(path.as_ref(), std::slice::from_ref(&line)) {
             eprintln!("cobra-trace: warning: could not write --metrics {path:?}: {e}");
         }
     }

@@ -6,14 +6,13 @@
 //! significant."
 
 use cobra_area::EnergyModel;
-use cobra_bench::run_insts;
 use cobra_core::designs;
 use cobra_uarch::{Core, CoreConfig};
 use cobra_workloads::spec17;
 
 fn main() {
     let model = EnergyModel::finfet_7nm();
-    let insts = run_insts();
+    let insts = cobra_core::config::get().insts;
     println!("PREDICTOR ENERGY — SRAM access energy on gcc ({insts} insts)");
     for design in designs::all() {
         let mut core = Core::new(

@@ -2,7 +2,7 @@
 //! SPECint17 suite, with the commercial-core reference points.
 
 use cobra_bench::reference;
-use cobra_bench::runner::{run_grid, threads, write_grid_summary, Job};
+use cobra_bench::runner::{run_grid, write_grid_summary, Job};
 use cobra_uarch::{harmonic_mean, CoreConfig, PerfReport};
 use cobra_workloads::{spec17, ProgramSpec};
 use std::time::Instant;
@@ -27,9 +27,8 @@ fn main() {
     let grid_wall = started.elapsed();
     // Machine-readable companion to the stdout tables (stderr notes the
     // path): wall, MIPS, packet-path mode, and thread count per run.
-    let summary_path =
-        std::env::var("COBRA_GRID_JSON").unwrap_or_else(|_| "results/bench_fig10.json".into());
-    write_grid_summary(&summary_path, &grid, threads(), grid_wall);
+    let config = cobra_core::config::get();
+    write_grid_summary(&config.grid_json, &grid, config.threads, grid_wall);
     let results: Vec<Vec<PerfReport>> = grid
         .chunks(specs.len())
         .map(|row| row.iter().map(|r| r.report.clone()).collect())

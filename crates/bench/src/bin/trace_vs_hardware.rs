@@ -13,7 +13,7 @@
 //! exactly, because capture preserves the instruction stream bit-for-bit.
 
 use cobra_bench::runner::parallel_map;
-use cobra_bench::{capture_workload, run_insts, run_one};
+use cobra_bench::{capture_workload, run_one};
 use cobra_core::composer::Design;
 use cobra_core::designs;
 use cobra_uarch::{CoreConfig, TraceSim};
@@ -27,7 +27,7 @@ fn main() {
         "{:<11} {:<11} {:>10} {:>10} {:>10} {:>10}",
         "bench", "design", "trace %", "replay %", "core %", "error"
     );
-    let insts = run_insts();
+    let insts = cobra_core::config::get().insts;
     let all_designs = designs::all();
     // Capture each workload once up front; every design's replay arm
     // re-reads the same file, exactly as a COBRA_TRACE_DIR grid would.

@@ -75,35 +75,11 @@ pub mod serve;
 pub mod timing;
 
 use cobra_core::composer::Design;
+use cobra_core::config::Config;
+use cobra_core::obs::interval::IntervalSeries;
 use cobra_uarch::{restore_checkpoint, CbsMeta, Core, CoreConfig, InstructionStream, PerfReport};
 use cobra_workloads::{ProgramSpec, TraceProgram};
-use std::path::PathBuf;
-
-/// Instructions per measured run (the `COBRA_INSTS` environment variable,
-/// default 500 000).
-///
-/// An unparsable value falls back to the default with a one-time warning
-/// on stderr (it used to be swallowed silently); `0` is clamped to 1 so
-/// the warm-up fraction math cannot go degenerate.
-pub fn run_insts() -> u64 {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    let n = match std::env::var("COBRA_INSTS") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => {
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: COBRA_INSTS={v:?} is not a number; \
-                         using the default of 500000"
-                    );
-                });
-                500_000
-            }
-        },
-        Err(_) => 500_000,
-    };
-    n.max(1)
-}
+use std::path::{Path, PathBuf};
 
 /// The named synthetic kernels [`workload_by_name`] resolves besides the
 /// SPECint17 profiles — what `cobra-capture --list` prints and
@@ -191,138 +167,11 @@ pub struct RunOutcome {
     pub sampled: Option<String>,
 }
 
-/// The directory named by `COBRA_TRACE_DIR`, if set and non-empty.
-///
-/// A set-but-missing directory warns once on stderr (a typo'd path would
-/// otherwise silently run every job execution-driven) and is then treated
-/// as unset.
-pub fn trace_dir() -> Option<PathBuf> {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    let dir = std::env::var("COBRA_TRACE_DIR").ok()?;
-    let dir = dir.trim();
-    if dir.is_empty() {
-        return None;
-    }
-    let path = PathBuf::from(dir);
-    if !path.is_dir() {
-        WARNED.call_once(|| {
-            eprintln!(
-                "warning: COBRA_TRACE_DIR={dir:?} is not a directory; \
-                 running execution-driven"
-            );
-        });
-        return None;
-    }
-    Some(path)
-}
-
-/// The `.cbt` file a replayed run of `workload` would use
-/// (`$COBRA_TRACE_DIR/<workload>.cbt`), if `COBRA_TRACE_DIR` is set and
-/// the file exists.
-pub fn trace_path_for(workload: &str) -> Option<PathBuf> {
-    let path = trace_dir()?.join(format!("{workload}.cbt"));
-    path.is_file().then_some(path)
-}
-
-/// The directory named by `COBRA_CKPT_DIR`, if set and non-empty.
-///
-/// A set-but-missing directory warns once on stderr (a typo'd path would
-/// otherwise silently warm every job up from scratch) and is then treated
-/// as unset.
-pub fn ckpt_dir() -> Option<PathBuf> {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    let dir = std::env::var("COBRA_CKPT_DIR").ok()?;
-    let dir = dir.trim();
-    if dir.is_empty() {
-        return None;
-    }
-    let path = PathBuf::from(dir);
-    if !path.is_dir() {
-        WARNED.call_once(|| {
-            eprintln!(
-                "warning: COBRA_CKPT_DIR={dir:?} is not a directory; \
-                 warming up from scratch"
-            );
-        });
-        return None;
-    }
-    Some(path)
-}
-
-/// The directory interval-telemetry `.cbm` files are written to:
-/// `COBRA_INTERVAL_DIR` if set and non-empty, else `metrics/` under the
-/// current directory. Created on first write, not here.
-pub fn interval_dir() -> PathBuf {
-    match std::env::var("COBRA_INTERVAL_DIR") {
-        Ok(d) if !d.trim().is_empty() => PathBuf::from(d.trim()),
-        _ => PathBuf::from("metrics"),
-    }
-}
-
 /// The file name an interval-telemetry stream of `design` on `workload`
 /// uses: `<design>--<workload>.cbm` (same double-dash convention as
 /// [`ckpt_file_name`]).
 pub fn metrics_file_name(design: &str, workload: &str) -> String {
     format!("{design}--{workload}.cbm")
-}
-
-/// The directory named by `COBRA_SAMPLE_DIR`, if set and non-empty.
-///
-/// Holds `<workload>.plan.json` sampling plans (and, optionally,
-/// `<design>--<workload>--s<seq>.cbs` slice checkpoints) written by
-/// `cobra-sample`. A set-but-missing directory warns once on stderr (a
-/// typo'd path would otherwise silently run every job exact) and is then
-/// treated as unset.
-pub fn sample_dir() -> Option<PathBuf> {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    let dir = std::env::var("COBRA_SAMPLE_DIR").ok()?;
-    let dir = dir.trim();
-    if dir.is_empty() {
-        return None;
-    }
-    let path = PathBuf::from(dir);
-    if !path.is_dir() {
-        WARNED.call_once(|| {
-            eprintln!(
-                "warning: COBRA_SAMPLE_DIR={dir:?} is not a directory; \
-                 running exact"
-            );
-        });
-        return None;
-    }
-    Some(path)
-}
-
-/// The sampling plan a sampled run of `workload` would use
-/// (`$COBRA_SAMPLE_DIR/<workload>.plan.json`), if `COBRA_SAMPLE_DIR` is
-/// set and the file exists.
-pub fn sample_plan_path_for(workload: &str) -> Option<PathBuf> {
-    let path = sample_dir()?.join(sampling::plan_file_name(workload));
-    path.is_file().then_some(path)
-}
-
-/// The `COBRA_PROGRESS` heartbeat period in committed instructions, if
-/// set and positive. An unparsable value warns once on stderr and
-/// disables the heartbeat.
-pub fn progress_every() -> Option<u64> {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    let v = std::env::var("COBRA_PROGRESS").ok()?;
-    let v = v.trim();
-    if v.is_empty() {
-        return None;
-    }
-    match v.replace('_', "").parse::<u64>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => {
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: COBRA_PROGRESS={v:?} is not a positive integer; \
-                     heartbeat off"
-                );
-            });
-            None
-        }
-    }
 }
 
 /// The file name a checkpoint of `design` on `workload` uses:
@@ -332,11 +181,9 @@ pub fn ckpt_file_name(design: &str, workload: &str) -> String {
     format!("{design}--{workload}.cbs")
 }
 
-/// The `.cbs` file a restored run of `design` on `workload` would use
-/// (`$COBRA_CKPT_DIR/<design>--<workload>.cbs`), if `COBRA_CKPT_DIR` is
-/// set and the file exists.
-pub fn ckpt_path_for(design: &str, workload: &str) -> Option<PathBuf> {
-    let path = ckpt_dir()?.join(ckpt_file_name(design, workload));
+/// `dir/name`, if `dir` is set and that file exists.
+fn existing_file(dir: Option<&Path>, name: &str) -> Option<PathBuf> {
+    let path = dir?.join(name);
     path.is_file().then_some(path)
 }
 
@@ -360,9 +207,11 @@ pub fn run_one_sourced(
     spec: &ProgramSpec,
     tag: Option<&str>,
 ) -> RunOutcome {
-    let measure = run_insts();
+    let config = cobra_core::config::get();
+    let measure = config.insts;
     let warmup = measure * 2 / 5;
-    if let Some(plan_path) = sample_plan_path_for(&spec.name) {
+    let sample_dir = config.sample_dir.as_deref();
+    if let Some(plan_path) = existing_file(sample_dir, &sampling::plan_file_name(&spec.name)) {
         let plan = sampling::load_plan(&plan_path)
             .unwrap_or_else(|e| panic!("COBRA_SAMPLE_DIR plan: {e}"));
         assert_eq!(
@@ -374,7 +223,7 @@ pub fn run_one_sourced(
             plan_path.display(),
             plan.warmup_insts
         );
-        let outcome = sampling::run_sampled(design, cfg, spec, &plan, sample_dir().as_deref())
+        let outcome = sampling::run_sampled(design, cfg, spec, &plan, sample_dir)
             .unwrap_or_else(|e| panic!("COBRA_SAMPLE_DIR sampled run: {e}"));
         return RunOutcome {
             report: outcome.report,
@@ -384,7 +233,8 @@ pub fn run_one_sourced(
             sampled: Some(format!("{}:{}", outcome.mode.as_str(), plan_path.display())),
         };
     }
-    match trace_path_for(&spec.name) {
+    let trace_name = format!("{}.cbt", spec.name);
+    match existing_file(config.trace_dir.as_deref(), &trace_name) {
         Some(path) => {
             let program = TraceProgram::open(&path)
                 .unwrap_or_else(|e| panic!("COBRA_TRACE_DIR replay of {}: {e}", path.display()));
@@ -396,58 +246,69 @@ pub fn run_one_sourced(
                     spec.name
                 );
             }
-            let mut core = Core::new(design, cfg, program).expect("stock designs always compose");
-            if let Some(tag) = tag {
-                core.bpu_mut().retarget_env_tracer(tag);
-            }
-            let checkpoint = restore_into(design, &cfg, &spec.name, warmup, &mut core);
-            install_progress(&mut core, tag, warmup + measure);
-            let report = core.run_with_warmup(warmup, measure, &spec.name);
-            let metrics =
-                write_interval_metrics(design, &cfg, &spec.name, warmup, &mut core, &report);
-            RunOutcome {
-                report,
-                trace: Some(path),
-                checkpoint,
-                metrics,
-                sampled: None,
-            }
+            run_core(design, cfg, spec, tag, &config, program, Some(path))
         }
-        None => {
-            let mut core =
-                Core::new(design, cfg, spec.build()).expect("stock designs always compose");
-            if let Some(tag) = tag {
-                core.bpu_mut().retarget_env_tracer(tag);
-            }
-            let checkpoint = restore_into(design, &cfg, &spec.name, warmup, &mut core);
-            install_progress(&mut core, tag, warmup + measure);
-            let report = core.run_with_warmup(warmup, measure, &spec.name);
-            let metrics =
-                write_interval_metrics(design, &cfg, &spec.name, warmup, &mut core, &report);
-            RunOutcome {
-                report,
-                trace: None,
-                checkpoint,
-                metrics,
-                sampled: None,
-            }
-        }
+        None => run_core(design, cfg, spec, tag, &config, spec.build(), None),
+    }
+}
+
+/// The run [`run_one_sourced`] makes over either stream source: build
+/// the core, retarget its tracer to `tag`, restore any `COBRA_CKPT_DIR`
+/// checkpoint, install the heartbeat, run warm-up plus the measured
+/// region, and write any interval telemetry.
+fn run_core<S: InstructionStream>(
+    design: &Design,
+    cfg: CoreConfig,
+    spec: &ProgramSpec,
+    tag: Option<&str>,
+    config: &Config,
+    stream: S,
+    trace: Option<PathBuf>,
+) -> RunOutcome {
+    let measure = config.insts;
+    let warmup = measure * 2 / 5;
+    let mut core = Core::new(design, cfg, stream).expect("stock designs always compose");
+    if let Some(tag) = tag {
+        core.bpu_mut().retarget_env_tracer(tag);
+    }
+    let ckpt_name = ckpt_file_name(&design.name, &spec.name);
+    let checkpoint = existing_file(config.ckpt_dir.as_deref(), &ckpt_name)
+        .map(|path| restore_into(design, &cfg, &spec.name, warmup, &mut core, path));
+    if let Some(every) = config.progress {
+        install_progress(&mut core, tag, every, warmup + measure);
+    }
+    let report = core.run_with_warmup(warmup, measure, &spec.name);
+    let metrics = core.take_intervals().and_then(|series| {
+        write_interval_metrics(
+            design,
+            &cfg,
+            &spec.name,
+            warmup,
+            series,
+            &report,
+            &config.interval_dir,
+        )
+    });
+    RunOutcome {
+        report,
+        trace,
+        checkpoint,
+        metrics,
+        sampled: None,
     }
 }
 
 /// Installs the `COBRA_PROGRESS` heartbeat on a freshly-built core:
-/// every `COBRA_PROGRESS` committed instructions, one stderr line with
+/// every `every` committed instructions, one stderr line with
 /// instructions done, simulated MIPS, and the wall-clock ETA to
 /// `target_insts` (warm-up plus measured region). Stderr only — stdout
 /// stays stable for diffing.
 fn install_progress<S: InstructionStream>(
     core: &mut Core<S>,
     tag: Option<&str>,
+    every: u64,
     target_insts: u64,
 ) {
-    let Some(every) = progress_every() else {
-        return;
-    };
     let label = tag.unwrap_or("run").to_string();
     let started = std::time::Instant::now();
     core.set_progress(
@@ -473,24 +334,24 @@ fn install_progress<S: InstructionStream>(
     );
 }
 
-/// Drains the interval series a measured run collected (if
-/// `COBRA_INTERVAL` armed the engine) and writes it as a `.cbm` file to
-/// [`interval_dir`], bound to the run's identity and carrying the
+/// Writes the interval `series` a measured run collected (when
+/// `COBRA_INTERVAL` armed the engine) as a `.cbm` file to `dir`
+/// (`COBRA_INTERVAL_DIR`), bound to the run's identity and carrying the
 /// measured-region totals from `report` so any reader can verify
 /// reconciliation self-contained. Returns the path written.
 ///
 /// Write failures warn on stderr but never fail the run — telemetry is
 /// an observability side channel, and the tables on stdout are the
 /// primary artifact.
-fn write_interval_metrics<S: InstructionStream>(
+fn write_interval_metrics(
     design: &Design,
     cfg: &CoreConfig,
     workload: &str,
     warmup: u64,
-    core: &mut Core<S>,
+    series: IntervalSeries,
     report: &PerfReport,
+    dir: &Path,
 ) -> Option<PathBuf> {
-    let series = core.take_intervals()?;
     let meta = cobra_uarch::CbmMeta {
         design: design.name.clone(),
         topology: design.topology.clone(),
@@ -500,10 +361,9 @@ fn write_interval_metrics<S: InstructionStream>(
         interval_n: series.interval_n,
         sig_buckets: cobra_core::obs::interval::SIG_BUCKETS as u64,
     };
-    let dir = interval_dir();
     let path = dir.join(metrics_file_name(&design.name, workload));
     let write = || -> Result<(), String> {
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
         let file = std::fs::File::create(&path).map_err(|e| e.to_string())?;
         cobra_uarch::save_metrics(
             std::io::BufWriter::new(file),
@@ -527,11 +387,11 @@ fn write_interval_metrics<S: InstructionStream>(
     }
 }
 
-/// Restores `$COBRA_CKPT_DIR/<design>--<workload>.cbs` into a
-/// freshly-built core, if the directory is set and the file exists,
-/// returning the path restored. Jobs without a matching checkpoint
-/// quietly warm up from scratch, which keeps partially-checkpointed
-/// grids runnable and stdout stable.
+/// Restores the checkpoint at `path`
+/// (`$COBRA_CKPT_DIR/<design>--<workload>.cbs`) into a freshly-built
+/// core, returning `path`. Jobs without a matching checkpoint quietly
+/// warm up from scratch, which keeps partially-checkpointed grids
+/// runnable and stdout stable.
 ///
 /// # Panics
 ///
@@ -546,14 +406,14 @@ fn restore_into<S: InstructionStream>(
     workload: &str,
     warmup: u64,
     core: &mut Core<S>,
-) -> Option<PathBuf> {
-    let path = ckpt_path_for(&design.name, workload)?;
+    path: PathBuf,
+) -> PathBuf {
     let meta = CbsMeta::for_run(design, cfg, workload, warmup);
     let file = std::fs::File::open(&path)
         .unwrap_or_else(|e| panic!("COBRA_CKPT_DIR restore of {}: {e}", path.display()));
     restore_checkpoint(std::io::BufReader::new(file), &meta, core)
         .unwrap_or_else(|e| panic!("COBRA_CKPT_DIR restore of {}: {e}", path.display()));
-    Some(path)
+    path
 }
 
 /// The number of instructions [`capture_workload`] records for a measured
@@ -614,12 +474,5 @@ mod tests {
         assert_eq!(pct_delta(1.15, 1.0), "+15.0%");
         assert_eq!(pct_delta(0.97, 1.0), "-3.0%");
         assert_eq!(pct_delta(1.0, 0.0), "n/a");
-    }
-
-    #[test]
-    fn run_insts_defaults() {
-        // Do not set the env var here (tests run in parallel); just check
-        // the default path parses.
-        assert!(run_insts() >= 1000);
     }
 }

@@ -32,33 +32,10 @@ use cobra_core::composer::Design;
 use cobra_uarch::{CoreConfig, PerfReport};
 use cobra_workloads::ProgramSpec;
 use std::io::Write;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Worker threads to use: `COBRA_THREADS` if set (clamped to ≥ 1), else
-/// the machine's available parallelism.
-pub fn threads() -> usize {
-    match std::env::var("COBRA_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => n.max(1),
-            Err(_) => {
-                eprintln!(
-                    "[runner] warning: COBRA_THREADS={v:?} is not a number; \
-                     using available parallelism"
-                );
-                default_threads()
-            }
-        },
-        Err(_) => default_threads(),
-    }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 /// Applies `f` to every item of `items` across `threads` OS threads,
 /// returning the results in item order regardless of completion order.
@@ -106,14 +83,14 @@ where
         .collect()
 }
 
-/// [`parallel_map_on`] with the [`threads`] default.
+/// [`parallel_map_on`] with the `COBRA_THREADS` thread count.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    parallel_map_on(threads(), items, f)
+    parallel_map_on(cobra_core::config::get().threads, items, f)
 }
 
 /// One cell of an experiment grid: a design, a core configuration, and a
@@ -256,16 +233,14 @@ pub fn run_grid_on(threads: usize, jobs: &[Job<'_>]) -> Vec<JobResult> {
         );
         r
     });
-    if let Ok(path) = std::env::var("COBRA_METRICS") {
-        if !path.trim().is_empty() {
-            let lines: Vec<String> = results
-                .iter()
-                .enumerate()
-                .map(|(i, r)| metrics_record(&job_id(i), r))
-                .collect();
-            if let Err(e) = write_metrics(path.trim(), &lines) {
-                eprintln!("[runner] warning: could not write COBRA_METRICS={path:?}: {e}");
-            }
+    if let Some(path) = &cobra_core::config::get().metrics {
+        let lines: Vec<String> = results
+            .iter()
+            .enumerate()
+            .map(|(i, r)| metrics_record(&job_id(i), r))
+            .collect();
+        if let Err(e) = write_metrics(path, &lines) {
+            eprintln!("[runner] warning: could not write COBRA_METRICS={path:?}: {e}");
         }
     }
     let wall = started.elapsed().as_secs_f64();
@@ -289,10 +264,10 @@ pub fn run_grid_on(threads: usize, jobs: &[Job<'_>]) -> Vec<JobResult> {
     results
 }
 
-/// [`run_grid_on`] with the [`threads`] default — what the harness
-/// binaries call.
+/// [`run_grid_on`] with the `COBRA_THREADS` thread count — what the
+/// harness binaries call.
 pub fn run_grid(jobs: &[Job<'_>]) -> Vec<JobResult> {
-    run_grid_on(threads(), jobs)
+    run_grid_on(cobra_core::config::get().threads, jobs)
 }
 
 /// The stable id of grid position `i` (`job00`, `job01`, …) — the tag on
@@ -306,7 +281,7 @@ pub fn job_id(i: usize) -> String {
 /// string for machine-readable output: `"plan"` (compiled execution plan)
 /// or `"interpreter"` (`COBRA_PLAN=off`).
 pub fn packet_path_mode() -> &'static str {
-    if cobra_core::composer::plan_env_enabled() {
+    if cobra_core::config::get().plan {
         "plan"
     } else {
         "interpreter"
@@ -344,10 +319,10 @@ pub fn grid_summary_json(results: &[JobResult], threads: usize, wall: Duration) 
 /// Writes [`grid_summary_json`] to `path`, creating parent directories as
 /// needed. Failures are reported to stderr but never fail the run — the
 /// tables on stdout are the primary artifact.
-pub fn write_grid_summary(path: &str, results: &[JobResult], threads: usize, wall: Duration) {
+pub fn write_grid_summary(path: &Path, results: &[JobResult], threads: usize, wall: Duration) {
     let json = grid_summary_json(results, threads, wall);
     let write = || -> std::io::Result<()> {
-        if let Some(parent) = std::path::Path::new(path).parent() {
+        if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
@@ -356,8 +331,8 @@ pub fn write_grid_summary(path: &str, results: &[JobResult], threads: usize, wal
         Ok(())
     };
     match write() {
-        Ok(()) => eprintln!("[runner] grid summary written to {path}"),
-        Err(e) => eprintln!("[runner] warning: could not write {path}: {e}"),
+        Ok(()) => eprintln!("[runner] grid summary written to {}", path.display()),
+        Err(e) => eprintln!("[runner] warning: could not write {}: {e}", path.display()),
     }
 }
 
@@ -418,8 +393,8 @@ pub fn metrics_record(job_id: &str, r: &JobResult) -> String {
 ///
 /// Returns the underlying I/O error if the file cannot be created or
 /// written.
-pub fn write_metrics(path: &str, lines: &[String]) -> std::io::Result<()> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
+pub fn write_metrics(path: &Path, lines: &[String]) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
@@ -535,12 +510,5 @@ mod tests {
             Some("unix:/tmp/cobra-serve.sock")
         );
         assert_eq!(v.get("cache").and_then(jsonv::Json::as_str), Some("hit"));
-    }
-
-    #[test]
-    fn thread_env_parsing_clamps() {
-        // Cannot mutate the environment safely in parallel tests; exercise
-        // only the default path.
-        assert!(threads() >= 1);
     }
 }

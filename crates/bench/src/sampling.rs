@@ -506,28 +506,6 @@ pub fn load_plan(path: &Path) -> Result<SamplePlan, String> {
     parse_plan(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Per-slice cold-start warmup instructions: `COBRA_SAMPLE_WARMUP` if
-/// set, else twice the plan's interval length. Clamped further by each
-/// slice's distance from the shared-cursor position.
-pub fn sample_warmup(interval_n: u64) -> u64 {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    match std::env::var("COBRA_SAMPLE_WARMUP") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => {
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: COBRA_SAMPLE_WARMUP={v:?} is not a number; \
-                         using 2x the interval length"
-                    );
-                });
-                interval_n * 2
-            }
-        },
-        Err(_) => interval_n * 2,
-    }
-}
-
 /// How [`run_sampled`] reached each slice's start boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleMode {
@@ -651,7 +629,8 @@ fn run_slices_from_checkpoints(
 
 /// Cold-start slice evaluation: slices share one workload generator
 /// (ascending `start_inst`); each slice fast-forwards the shared cursor,
-/// warms a fresh core for up to [`sample_warmup`] instructions, then
+/// warms a fresh core for up to `COBRA_SAMPLE_WARMUP` instructions
+/// (default twice the plan's interval length), then
 /// measures the slice. Falls back to a private generator for a slice the
 /// shared cursor has already overrun (fetch read-ahead can overshoot a
 /// tightly following boundary).
@@ -661,7 +640,9 @@ fn run_slices_cold(
     spec: &ProgramSpec,
     plan: &SamplePlan,
 ) -> Result<Vec<HostCounters>, String> {
-    let warmup_req = sample_warmup(plan.interval_n);
+    let warmup_req = cobra_core::config::get()
+        .sample_warmup
+        .unwrap_or(plan.interval_n * 2);
     let mut shared = spec.build();
     let mut consumed = 0u64;
     let mut deltas = Vec::with_capacity(plan.slices.len());

@@ -33,11 +33,11 @@
 //! scheduling, worker pool), and [`client`] the line client used by the
 //! `--bench-client` load generator and the tests.
 //!
-//! Environment knobs (all overridable by `cobra-serve` flags; the full
-//! table is `docs/CONFIG.md`): `COBRA_SERVE_CACHE` (cache root, `off`
-//! disables), `COBRA_SERVE_QUEUE` (admission-queue bound),
-//! `COBRA_SERVE_PROGRESS` (progress stride), `COBRA_SERVE_INSTS_CAP`
-//! (per-job instruction ceiling).
+//! Environment knobs (all overridable by `cobra-serve` flags, read via
+//! [`cobra_core::config`]; the full table is `docs/CONFIG.md`):
+//! `COBRA_SERVE_CACHE` (cache root, `off` disables), `COBRA_SERVE_QUEUE`
+//! (admission-queue bound), `COBRA_SERVE_PROGRESS` (progress stride),
+//! `COBRA_SERVE_INSTS_CAP` (per-job instruction ceiling).
 
 pub mod cache;
 pub mod client;
@@ -45,56 +45,5 @@ pub mod exec;
 pub mod protocol;
 pub mod server;
 
-use std::path::PathBuf;
-
-/// Default admission-queue capacity.
-pub const DEFAULT_QUEUE_CAP: usize = 64;
-/// Default per-job instruction ceiling.
+/// Default per-job instruction ceiling (`COBRA_SERVE_INSTS_CAP`).
 pub const DEFAULT_INSTS_CAP: u64 = 5_000_000;
-/// Default cache root, relative to the daemon's working directory.
-pub const DEFAULT_CACHE_DIR: &str = "serve-cache";
-
-fn env_u64(name: &str) -> Option<u64> {
-    let raw = std::env::var(name).ok()?;
-    match raw.trim().parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("[cobra-serve] ignoring unparsable {name}={raw:?}");
-            None
-        }
-    }
-}
-
-/// The cache root from `COBRA_SERVE_CACHE`: unset → the default
-/// `serve-cache/`; `off`, `0`, or empty → disabled (`None`).
-pub fn env_cache_dir() -> Option<PathBuf> {
-    match std::env::var("COBRA_SERVE_CACHE") {
-        Err(_) => Some(PathBuf::from(DEFAULT_CACHE_DIR)),
-        Ok(v) => {
-            let v = v.trim().to_string();
-            if v.is_empty() || v == "off" || v == "0" {
-                None
-            } else {
-                Some(PathBuf::from(v))
-            }
-        }
-    }
-}
-
-/// The admission-queue bound from `COBRA_SERVE_QUEUE` (default
-/// [`DEFAULT_QUEUE_CAP`], clamped to at least 1).
-pub fn env_queue_cap() -> usize {
-    env_u64("COBRA_SERVE_QUEUE").map_or(DEFAULT_QUEUE_CAP, |v| (v as usize).max(1))
-}
-
-/// The per-job instruction ceiling from `COBRA_SERVE_INSTS_CAP`
-/// (default [`DEFAULT_INSTS_CAP`], clamped to at least 1).
-pub fn env_insts_cap() -> u64 {
-    env_u64("COBRA_SERVE_INSTS_CAP").map_or(DEFAULT_INSTS_CAP, |v| v.max(1))
-}
-
-/// The progress stride from `COBRA_SERVE_PROGRESS`: unset → `None`
-/// (derive `insts / 4` per job); `0` → `Some(0)` (progress disabled).
-pub fn env_progress_stride() -> Option<u64> {
-    env_u64("COBRA_SERVE_PROGRESS")
-}

@@ -467,7 +467,7 @@ fn admit(shared: &Arc<Shared>, conn_id: u64, req: SubmitReq, tx: &mpsc::Sender<S
         ));
         return;
     }
-    let insts = req.insts.unwrap_or(crate::run_insts());
+    let insts = req.insts.unwrap_or_else(|| cobra_core::config::get().insts);
     if insts == 0 || insts > shared.insts_cap {
         send(protocol::ev_rejected(
             Some(id),

@@ -9,6 +9,7 @@
 
 use cobra_bench::{ckpt_file_name, run_one_sourced};
 use cobra_core::composer::Design;
+use cobra_core::config::{self, Config};
 use cobra_core::designs;
 use cobra_uarch::{
     restore_checkpoint, save_checkpoint, CacheConfig, CbsMeta, ContainerError, Core, CoreConfig,
@@ -96,7 +97,7 @@ fn restored_report_is_byte_identical_for_all_designs_and_profiles() {
 /// holding a matching checkpoint, `run_one_sourced` restores it (and says
 /// so in its provenance) and still reports byte-identically to the
 /// warm-up-from-scratch run. This is the only test in this binary that
-/// touches process environment, so it cannot race a parallel test.
+/// sets the process config, so it cannot race a parallel test.
 #[test]
 fn ckpt_dir_restore_matches_direct_end_to_end() {
     let design = designs::tage_l();
@@ -105,7 +106,12 @@ fn ckpt_dir_restore_matches_direct_end_to_end() {
 
     // The harness derives measure from COBRA_INSTS and warmup as 40 % of
     // it; the checkpoint must be taken at exactly that boundary.
-    std::env::set_var("COBRA_INSTS", MEASURE.to_string());
+    let before = config::get();
+    config::set(Config {
+        insts: MEASURE,
+        ckpt_dir: None,
+        ..(*before).clone()
+    });
     let direct = run_one_sourced(&design, cfg, &spec, None);
     assert_eq!(direct.checkpoint, None, "no checkpoint dir set yet");
 
@@ -115,10 +121,13 @@ fn ckpt_dir_restore_matches_direct_end_to_end() {
     let bytes = checkpoint_bytes(&design, &cfg, &spec, WARMUP);
     std::fs::write(&path, bytes).expect("write checkpoint");
 
-    std::env::set_var("COBRA_CKPT_DIR", &dir);
+    config::set(Config {
+        insts: MEASURE,
+        ckpt_dir: Some(dir.clone()),
+        ..(*before).clone()
+    });
     let restored = run_one_sourced(&design, cfg, &spec, None);
-    std::env::remove_var("COBRA_CKPT_DIR");
-    std::env::remove_var("COBRA_INSTS");
+    config::set((*before).clone());
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(

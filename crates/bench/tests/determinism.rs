@@ -7,18 +7,21 @@
 //! print byte-stable tables whatever the host's core count.
 
 use cobra_bench::runner::{run_grid_on, Job};
+use cobra_core::config::{self, Config};
 use cobra_core::designs;
 use cobra_uarch::{CoreConfig, PerfReport};
 use cobra_workloads::{kernels, spec17};
 
-/// One test function on purpose: it pins `COBRA_INSTS` for the whole
-/// process, which would race against sibling tests reading the same
-/// variable.
+/// One test function on purpose: it pins the process config's
+/// `COBRA_INSTS`, which would race against sibling tests reading it.
 #[test]
 fn thread_count_does_not_change_reports() {
     // Keep the grid fast: the property under test is scheduling
     // independence, not simulator behavior at full run length.
-    std::env::set_var("COBRA_INSTS", "6000");
+    config::set(Config {
+        insts: 6000,
+        ..(*config::get()).clone()
+    });
 
     let d_tourn = designs::tournament();
     let d_tage = designs::tage_l();

@@ -11,12 +11,13 @@
 //! checkpoint-restored (`COBRA_CKPT_DIR`), plus a dirty-state
 //! `reset_to_baseline` rerun arm.
 //!
-//! One test function on purpose: it pins `COBRA_PLAN`, `COBRA_INSTS`,
-//! `COBRA_TRACE_DIR`, and `COBRA_CKPT_DIR` for the whole process, which
-//! would race against sibling tests reading the same variables.
+//! One test function on purpose: it pins the `COBRA_PLAN`, `COBRA_INSTS`,
+//! `COBRA_TRACE_DIR`, and `COBRA_CKPT_DIR` knobs of the process config,
+//! which would race against sibling tests reading the same knobs.
 
-use cobra_bench::{capture_workload, ckpt_file_name, run_insts, run_one};
+use cobra_bench::{capture_workload, ckpt_file_name, run_one};
 use cobra_core::composer::Design;
+use cobra_core::config::{self, Config};
 use cobra_core::designs;
 use cobra_uarch::{restore_checkpoint, save_checkpoint, CbsMeta, Core, CoreConfig, PerfReport};
 use cobra_workloads::{spec17, ProgramSpec};
@@ -51,13 +52,24 @@ fn assert_identical(reference: &[PerfReport], got: &[PerfReport], arm: &str) {
     }
 }
 
+/// Sets the process config's packet path, keeping every other knob.
+fn set_plan(plan: bool) {
+    config::set(Config {
+        plan,
+        ..(*config::get()).clone()
+    });
+}
+
 #[test]
 fn plan_matches_interpreter_on_every_design_and_profile() {
-    std::env::set_var("COBRA_INSTS", "4000");
-    std::env::remove_var("COBRA_TRACE_DIR");
-    std::env::remove_var("COBRA_CKPT_DIR");
-    let measure = run_insts();
+    let measure = 4000;
     let warmup = measure * 2 / 5;
+    config::set(Config {
+        insts: measure,
+        trace_dir: None,
+        ckpt_dir: None,
+        ..(*config::get()).clone()
+    });
     let all = designs::all();
     let specs: Vec<ProgramSpec> = spec17::SPEC17_NAMES
         .iter()
@@ -65,9 +77,9 @@ fn plan_matches_interpreter_on_every_design_and_profile() {
         .collect();
 
     // Arm 1 — direct execution: the interpreter is the reference.
-    std::env::set_var("COBRA_PLAN", "off");
+    set_plan(false);
     let reference = sweep(&all, &specs);
-    std::env::set_var("COBRA_PLAN", "on");
+    set_plan(true);
     let plan = sweep(&all, &specs);
     assert_identical(&reference, &plan, "direct");
 
@@ -82,10 +94,13 @@ fn plan_matches_interpreter_on_every_design_and_profile() {
     for s in &specs {
         capture_workload(s, measure, &trace_dir).expect("capture");
     }
-    std::env::set_var("COBRA_TRACE_DIR", &trace_dir);
-    std::env::set_var("COBRA_PLAN", "off");
+    config::set(Config {
+        trace_dir: Some(trace_dir),
+        ..(*config::get()).clone()
+    });
+    set_plan(false);
     assert_identical(&reference, &sweep(&all, &specs), "trace+interpreter");
-    std::env::set_var("COBRA_PLAN", "on");
+    set_plan(true);
     assert_identical(&reference, &sweep(&all, &specs), "trace+plan");
 
     // Arm 3 — checkpoint-restored (composed with the trace replay): warm
@@ -101,10 +116,13 @@ fn plan_matches_interpreter_on_every_design_and_profile() {
             );
         }
     }
-    std::env::set_var("COBRA_CKPT_DIR", &ckpt_dir);
-    std::env::set_var("COBRA_PLAN", "off");
+    config::set(Config {
+        ckpt_dir: Some(ckpt_dir.clone()),
+        ..(*config::get()).clone()
+    });
+    set_plan(false);
     assert_identical(&reference, &sweep(&all, &specs), "ckpt+interpreter");
-    std::env::set_var("COBRA_PLAN", "on");
+    set_plan(true);
     assert_identical(&reference, &sweep(&all, &specs), "ckpt+plan");
 
     // Arm 4 — dirty-state rerun: restore once, then measure twice with a

@@ -12,8 +12,8 @@
 //!    or 4, same as the reports themselves.
 
 use cobra_bench::runner::{job_id, run_grid_on, Job};
+use cobra_core::config::{self, Config};
 use cobra_core::designs;
-use cobra_core::obs::trace;
 use cobra_uarch::{CoreConfig, PerfReport};
 use cobra_workloads::{kernels, spec17};
 use std::path::PathBuf;
@@ -25,12 +25,24 @@ fn grid_reports(threads: usize, jobs: &[Job<'_>]) -> Vec<PerfReport> {
         .collect()
 }
 
-/// One test function on purpose: it pins `COBRA_INSTS` and `COBRA_TRACE`
-/// for the whole process, which would race against sibling tests reading
-/// the same variables.
+/// Sets the process config's `COBRA_TRACE` template, keeping every
+/// other knob.
+fn set_trace(template: Option<String>) {
+    config::set(Config {
+        trace: template,
+        ..(*config::get()).clone()
+    });
+}
+
+/// One test function on purpose: it pins the process config's
+/// `COBRA_INSTS` and `COBRA_TRACE`, which would race against sibling
+/// tests reading the same knobs.
 #[test]
 fn tracing_is_deterministic_and_free_of_side_effects() {
-    std::env::set_var("COBRA_INSTS", "6000");
+    config::set(Config {
+        insts: 6000,
+        ..(*config::get()).clone()
+    });
 
     let d_tourn = designs::tournament();
     let d_tage = designs::tage_l();
@@ -46,7 +58,7 @@ fn tracing_is_deterministic_and_free_of_side_effects() {
         .collect();
 
     // Baseline: tracing off.
-    trace::set_enabled(false);
+    set_trace(None);
     let reports_off = grid_reports(1, &jobs);
 
     let base = std::env::temp_dir().join(format!("cobra-trace-test-{}", std::process::id()));
@@ -54,21 +66,14 @@ fn tracing_is_deterministic_and_free_of_side_effects() {
     let dir4 = base.join("t4");
 
     // Same grid, tracing on, 1 thread then 4 threads into separate dirs.
-    std::env::set_var(
-        "COBRA_TRACE",
-        dir1.join("ev-{}.jsonl").to_str().expect("utf-8 path"),
-    );
-    trace::set_enabled(true);
+    let template = |dir: &PathBuf| dir.join("ev-{}.jsonl").to_str().map(String::from);
+    set_trace(Some(template(&dir1).expect("utf-8 path")));
     let reports_t1 = grid_reports(1, &jobs);
 
-    std::env::set_var(
-        "COBRA_TRACE",
-        dir4.join("ev-{}.jsonl").to_str().expect("utf-8 path"),
-    );
+    set_trace(Some(template(&dir4).expect("utf-8 path")));
     let reports_t4 = grid_reports(4, &jobs);
 
-    std::env::remove_var("COBRA_TRACE");
-    trace::set_enabled(false);
+    set_trace(None);
 
     // Property 1: tracing changed nothing — raw reports and the Display
     // rows the harness binaries print are byte-identical.

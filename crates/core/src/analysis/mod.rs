@@ -51,7 +51,7 @@ pub mod resource;
 
 pub use diagnostics::{DiagCode, Diagnostic, Severity};
 pub use model::{ComponentInfo, DesignModel};
-pub use planck::{verify_env_enabled, verify_pipeline};
+pub use planck::verify_pipeline;
 pub use resource::{management_storage_report, ResourceReport};
 
 use crate::composer::{ComponentRegistry, Design, PredictorPipeline};

@@ -31,15 +31,6 @@ use super::diagnostics::{DiagCode, Diagnostic};
 use super::model::DesignModel;
 use crate::composer::{ExecutionPlan, NodeFacts, PredictorPipeline};
 
-/// `true` when `COBRA_VERIFY_PLAN` asks for plan verification at build
-/// time (any value except `0` / `off`).
-pub fn verify_env_enabled() -> bool {
-    match std::env::var("COBRA_VERIFY_PLAN") {
-        Ok(v) => !matches!(v.as_str(), "0" | "off"),
-        Err(_) => false,
-    }
-}
-
 /// Statically cross-checks `pipeline`'s lowered plan against its own node
 /// array and (when given) the elaborated `model`.
 ///

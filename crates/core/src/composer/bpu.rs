@@ -176,7 +176,8 @@ impl BranchPredictorUnit {
         // ExecutionPlan against the elaborated design. Errors reject the
         // build; warnings (e.g. the Custom lowering fallback, P0401) are
         // reported but do not block.
-        if crate::analysis::verify_env_enabled() {
+        let config = crate::config::get();
+        if config.verify_plan {
             let model = crate::analysis::DesignModel::build(
                 &design.name,
                 &design.topology,
@@ -221,7 +222,7 @@ impl BranchPredictorUnit {
         let labels: Vec<String> = pipeline.labels().iter().map(|s| s.to_string()).collect();
         let obs = StatsSink::new(labels.clone());
         let mut tracers = Vec::new();
-        if crate::obs::trace::enabled() {
+        if let Some(template) = &config.trace {
             // Auto-attach the COBRA_TRACE sink. Bare unit-test BPUs get a
             // process-unique anonymous context; harness runs retarget it
             // (lazy open: nothing is written until the first event).
@@ -230,9 +231,7 @@ impl BranchPredictorUnit {
                 crate::obs::trace::sanitize_context(&design.name),
                 TraceSink::anon_context()
             );
-            if let Some(sink) = TraceSink::from_env(&ctx, labels) {
-                tracers.push(sink);
-            }
+            tracers.push(TraceSink::from_template(template, &ctx, labels));
         }
         Ok(Self {
             scratch_hist: HistoryRegister::new(design.ghist_bits.max(1)),
@@ -313,9 +312,7 @@ impl BranchPredictorUnit {
     /// traced event — sinks open their file lazily.
     pub fn retarget_env_tracer(&mut self, context: &str) {
         for t in &mut self.tracers {
-            if t.from_env {
-                t.retarget(context);
-            }
+            t.retarget(context);
         }
     }
 
@@ -597,7 +594,7 @@ impl BranchPredictorUnit {
     pub fn accept(&mut self, id: PacketId, bundle: PredictionBundle) {
         let Some(e) = self.hf.get_mut(id) else { return };
         debug_assert_eq!(e.phase, EntryPhase::Fetching, "double accept");
-        if crate::sanitize::enabled() && e.phase != EntryPhase::Fetching {
+        if self.pipeline.sanitizing() && e.phase != EntryPhase::Fetching {
             crate::sanitize::violation(&format!(
                 "packet {id} accepted twice (already in the {:?} phase)",
                 e.phase
@@ -1032,7 +1029,7 @@ impl BranchPredictorUnit {
         self.pipeline.reset_to_baseline()
     }
 
-    /// Overrides the `COBRA_PLAN` gate in-process: `true` forces the
+    /// Overrides the `Config::plan` gate in-process: `true` forces the
     /// compiled-plan packet path, `false` the reference interpreter.
     pub fn force_plan(&mut self, enabled: bool) {
         self.pipeline.force_plan(enabled);
@@ -1044,7 +1041,7 @@ impl BranchPredictorUnit {
     }
 
     /// Test hook: arms or disarms the pipeline's per-node self-profiler
-    /// in-process, independent of the `COBRA_PROFILE` gate.
+    /// in-process, independent of the `Config::profile` gate.
     #[doc(hidden)]
     pub fn force_profiler(&mut self, enabled: bool) {
         self.pipeline.force_profiler(enabled);

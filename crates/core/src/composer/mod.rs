@@ -35,9 +35,7 @@ pub use bpu::{
 };
 pub use history_file::{HistoryFile, HistoryFileEntry};
 pub(crate) use pipeline::NodeFacts;
-pub use pipeline::{
-    plan_env_enabled, PacketPrediction, PredictorPipeline, StageDescription, MAX_DEPTH,
-};
+pub use pipeline::{PacketPrediction, PredictorPipeline, StageDescription, MAX_DEPTH};
 pub use plan::{ComponentKind, ExecutionPlan};
 pub use providers::{GlobalHistoryProvider, LocalHistoryProvider, PathHistoryProvider};
 pub use registry::{ComponentRegistry, Design};

@@ -57,28 +57,20 @@ pub struct PredictorPipeline {
     width: u8,
     plan: ExecutionPlan,
     scratch: PlanScratch,
-    /// Plan path enabled (read from `COBRA_PLAN` at compile time;
+    /// Plan path enabled (`Config::plan` at compile time;
     /// [`force_plan`](Self::force_plan) overrides in-process).
     plan_enabled: bool,
+    /// Runtime sanitizer checks on (`Config::sanitize` at compile time).
+    sanitize: bool,
     /// Per-node fast-reset fallbacks: `None` once a node armed its own
     /// baseline, `Some(bytes)` holding the node's full serialized state
     /// otherwise. Empty when unarmed.
     node_baselines: Vec<Option<Vec<u8>>>,
-    /// Hot-path self-profiler (`COBRA_PROFILE`): samples per-node predict
+    /// Hot-path self-profiler (`Config::profile`): samples per-node predict
     /// and compose wall time on the plan path, 1 packet in 16. Renders its
     /// table to stderr on drop. `None` (the default) costs the packet path
     /// a single pointer-null check.
     profiler: Option<Box<NodeProfiler>>,
-}
-
-/// `true` unless `COBRA_PLAN` is `off` / `0` / `interpreter`. Read at
-/// pipeline build time (not cached globally) so tests can flip the
-/// variable between runs.
-pub fn plan_env_enabled() -> bool {
-    !matches!(
-        std::env::var("COBRA_PLAN").as_deref(),
-        Ok("off") | Ok("0") | Ok("interpreter")
-    )
 }
 
 /// The full per-packet output of the pipeline: each node's raw response and
@@ -159,7 +151,8 @@ impl PredictorPipeline {
         let plan = ExecutionPlan::lower(nodes.len(), depth, latencies, &custom, |i| {
             nodes[i].inputs.clone()
         });
-        let profiler = crate::obs::interval::profile_enabled().then(|| {
+        let config = crate::config::get();
+        let profiler = config.profile.then(|| {
             Box::new(NodeProfiler::new(
                 nodes.iter().map(|n| n.label.clone()).collect(),
             ))
@@ -171,7 +164,8 @@ impl PredictorPipeline {
             width,
             plan,
             scratch: PlanScratch::default(),
-            plan_enabled: plan_env_enabled(),
+            plan_enabled: config.plan,
+            sanitize: config.sanitize,
             node_baselines: Vec::new(),
             profiler,
         })
@@ -280,7 +274,12 @@ impl PredictorPipeline {
         self.plan_enabled
     }
 
-    /// Overrides the `COBRA_PLAN` selection made at compile time — used by
+    /// `true` when the runtime sanitizer checks this pipeline's packets.
+    pub(crate) fn sanitizing(&self) -> bool {
+        self.sanitize
+    }
+
+    /// Overrides the `Config::plan` selection made at compile time — used by
     /// in-process differential tests and benches to flip paths without
     /// touching the environment.
     pub fn force_plan(&mut self, enabled: bool) {
@@ -288,7 +287,7 @@ impl PredictorPipeline {
     }
 
     /// Test hook: arms (or disarms) the per-node self-profiler in-process,
-    /// independent of the `COBRA_PROFILE` gate read at compile time.
+    /// independent of the `Config::profile` gate read at compile time.
     #[doc(hidden)]
     pub fn force_profiler(&mut self, on: bool) {
         self.profiler = on.then(|| {
@@ -504,7 +503,7 @@ impl PredictorPipeline {
                 }
             }
             out.stages.push(outs[self.final_node]);
-            if crate::sanitize::enabled() && d >= 2 {
+            if self.sanitize && d >= 2 {
                 check_refinement(
                     pc,
                     d,
@@ -601,7 +600,7 @@ impl PredictorPipeline {
                 scratch.outs[i] = composed;
             }
             out.stages.push(scratch.outs[self.final_node]);
-            if crate::sanitize::enabled() && d >= 2 {
+            if self.sanitize && d >= 2 {
                 check_refinement(
                     pc,
                     d,
@@ -771,7 +770,7 @@ impl PredictorPipeline {
     /// was built for a different pipeline or truncated in flight.
     #[inline]
     fn check_meta_tokens(&self, event: &str, metas: &[Meta]) {
-        if crate::sanitize::enabled() && metas.len() != self.nodes.len() {
+        if self.sanitize && metas.len() != self.nodes.len() {
             crate::sanitize::violation(&format!(
                 "{event} broadcast carries {} metadata word(s) for {} component(s)",
                 metas.len(),

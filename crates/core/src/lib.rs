@@ -48,6 +48,7 @@
 pub mod analysis;
 pub mod components;
 pub mod composer;
+pub mod config;
 pub mod designs;
 mod error;
 mod iface;

@@ -1,11 +1,10 @@
 //! Structured event tracing, opt-in via `COBRA_TRACE`.
 //!
-//! When the `COBRA_TRACE` environment variable is set to a path
-//! template, every BPU-level event (predict / fire / mispredict /
-//! repair / update) is appended as one line of JSON to that file. When
-//! it is unset, the cost is a single relaxed atomic load per check —
-//! the same once-resolved pattern as the runtime sanitizer
-//! ([`crate::sanitize`]).
+//! When the `COBRA_TRACE` knob ([`Config::trace`](crate::config::Config::trace))
+//! names a path template, every BPU built afterwards appends each
+//! BPU-level event (predict / fire / mispredict / repair / update) as
+//! one line of JSON to its file. When it is unset, no sink is attached
+//! and an event costs one empty-list check.
 //!
 //! Two formats, inferred from the template's extension:
 //!
@@ -26,49 +25,11 @@
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-
-const UNRESOLVED: u8 = 0;
-const OFF: u8 = 1;
-const ON: u8 = 2;
-
-static STATE: AtomicU8 = AtomicU8::new(UNRESOLVED);
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Distinguishes trace files from BPUs that were never given an
 /// explicit context (unit tests constructing bare BPUs).
 static ANON_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Whether event tracing is enabled for this process.
-///
-/// Resolved once from the environment (`COBRA_TRACE` set and non-empty)
-/// on first call; afterwards a single relaxed load.
-#[inline]
-pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        ON => true,
-        OFF => false,
-        _ => resolve(),
-    }
-}
-
-#[cold]
-fn resolve() -> bool {
-    let on = template().is_some();
-    STATE.store(if on { ON } else { OFF }, Ordering::Relaxed);
-    on
-}
-
-/// Forces tracing on or off, overriding the environment. Test hook —
-/// `enabled()` caches its answer, so tests that flip `COBRA_TRACE`
-/// after the first check must call this.
-pub fn set_enabled(on: bool) {
-    STATE.store(if on { ON } else { OFF }, Ordering::Relaxed);
-}
-
-/// The raw `COBRA_TRACE` path template, if set and non-empty.
-pub fn template() -> Option<String> {
-    std::env::var("COBRA_TRACE").ok().filter(|v| !v.is_empty())
-}
 
 /// Trace output encodings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,9 +154,10 @@ pub struct TraceSink {
     labels: Vec<String>,
     writer: Option<BufWriter<File>>,
     wrote_any: bool,
-    /// True when this sink was auto-attached from `COBRA_TRACE` (the
-    /// BPU builder may retarget it before any event is written).
-    pub from_env: bool,
+    /// The path template this sink was resolved from, when it was
+    /// auto-attached from `COBRA_TRACE` (the harness may retarget it
+    /// before any event is written).
+    template: Option<String>,
 }
 
 impl TraceSink {
@@ -208,21 +170,20 @@ impl TraceSink {
             labels,
             writer: None,
             wrote_any: false,
-            from_env: false,
+            template: None,
         }
     }
 
-    /// A sink resolved from the `COBRA_TRACE` template with `context`
-    /// naming this run, or `None` when the template is unset.
-    pub fn from_env(context: &str, labels: Vec<String>) -> Option<Self> {
-        let template = template()?;
+    /// A sink resolved from the `COBRA_TRACE` path `template` with
+    /// `context` naming this run.
+    pub fn from_template(template: &str, context: &str, labels: Vec<String>) -> Self {
         let mut sink = Self::new(
-            resolve_path(&template, context),
-            TraceFormat::infer(&template),
+            resolve_path(template, context),
+            TraceFormat::infer(template),
             labels,
         );
-        sink.from_env = true;
-        Some(sink)
+        sink.template = Some(template.to_string());
+        sink
     }
 
     /// The path this sink writes to.
@@ -230,15 +191,12 @@ impl TraceSink {
         &self.path
     }
 
-    /// Re-resolves the sink's path for a new context. Only meaningful
-    /// before the first event; a sink that has already written keeps
-    /// its file.
+    /// Re-resolves a [`from_template`](Self::from_template) sink's path
+    /// for a new context. Only meaningful before the first event; a sink
+    /// that has already written, or has no template, keeps its file.
     pub fn retarget(&mut self, context: &str) {
-        if self.writer.is_none() {
-            if let Some(template) = template() {
-                self.path = resolve_path(&template, context);
-                self.format = TraceFormat::infer(&template);
-            }
+        if let (None, Some(template)) = (&self.writer, &self.template) {
+            self.path = resolve_path(template, context);
         }
     }
 

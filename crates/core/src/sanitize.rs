@@ -15,53 +15,14 @@
 //! * **Protocol legality**: a fetch packet must not be accepted twice
 //!   (checked in the unit's accept path).
 //!
-//! Enablement is resolved once, from either the `sanitize` cargo feature
-//! or the `COBRA_SANITIZE` environment variable (`1`/`true`/`on`), and
-//! cached in an atomic — with the sanitizer off, each hook site costs one
-//! relaxed load and a branch, keeping the hot path intact. Tests flip it
-//! deterministically with [`set_enabled`].
+//! Enablement comes from [`Config::sanitize`](crate::config::Config::sanitize)
+//! (the `COBRA_SANITIZE` knob or the `sanitize` cargo feature) and is
+//! cached in each pipeline when it is built — with the sanitizer off,
+//! each hook site costs one test of a `bool` field, keeping the hot path
+//! intact.
 //!
 //! A violation panics with a `cobra-sanitizer:` prefix, so a failure in a
 //! long simulation is unambiguous about which layer detected it.
-
-use std::sync::atomic::{AtomicU8, Ordering};
-
-const UNRESOLVED: u8 = 0;
-const OFF: u8 = 1;
-const ON: u8 = 2;
-
-static STATE: AtomicU8 = AtomicU8::new(UNRESOLVED);
-
-/// `true` when sanitizer checks are active.
-///
-/// The first call resolves the state from the `sanitize` cargo feature or
-/// the `COBRA_SANITIZE` environment variable; later calls are a single
-/// relaxed atomic load.
-#[inline]
-pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        ON => true,
-        OFF => false,
-        _ => resolve(),
-    }
-}
-
-#[cold]
-fn resolve() -> bool {
-    let on = cfg!(feature = "sanitize")
-        || std::env::var("COBRA_SANITIZE")
-            .map(|v| matches!(v.trim(), "1" | "true" | "on" | "TRUE" | "ON"))
-            .unwrap_or(false);
-    STATE.store(if on { ON } else { OFF }, Ordering::Relaxed);
-    on
-}
-
-/// Forces the sanitizer on or off, overriding feature and environment.
-///
-/// Intended for tests that must exercise both modes deterministically.
-pub fn set_enabled(on: bool) {
-    STATE.store(if on { ON } else { OFF }, Ordering::Relaxed);
-}
 
 /// Reports a sanitizer violation.
 ///
@@ -78,14 +39,6 @@ pub fn violation(msg: &str) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn set_enabled_overrides() {
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-    }
 
     #[test]
     #[should_panic(expected = "cobra-sanitizer: boom")]

@@ -20,9 +20,7 @@ use crate::perf::{PerfCounters, PerfReport};
 use crate::program::{CfiOutcome, DynInst, InstructionStream, Op, StaticInst};
 use crate::ras::{RasSnapshot, ReturnAddressStack};
 use cobra_core::composer::{BranchPredictorUnit, Design, GhistRepairMode, PacketId};
-use cobra_core::obs::interval::{
-    interval_n, HostCounters, IntervalEngine, IntervalGauges, IntervalSeries,
-};
+use cobra_core::obs::interval::{HostCounters, IntervalEngine, IntervalGauges, IntervalSeries};
 use cobra_core::{
     BranchKind, ComposeError, PredictionBundle, SlotResolution, MAX_FETCH_WIDTH, SLOT_BYTES,
 };
@@ -602,7 +600,10 @@ impl<S: InstructionStream> Core<S> {
         self.run(warmup, workload_name);
         let baseline = self.counters;
         let baseline_attr = self.bpu.attribution_report();
-        let n = self.interval_request.or_else(interval_n).filter(|&n| n > 0);
+        let n = self
+            .interval_request
+            .or_else(|| cobra_core::config::get().interval)
+            .filter(|&n| n > 0);
         if let Some(n) = n {
             self.interval = Some(Box::new(IntervalEngine::new(
                 n,

@@ -2,22 +2,37 @@
 //! caught when the sanitizer is on, and the same pipeline runs untouched
 //! when it is off (the default).
 //!
-//! The sanitizer's global switch is process-wide, so every test here sets
-//! it explicitly and these tests avoid relying on ambient state.
+//! The sanitizer switch is read from the process config when a pipeline
+//! is built, so every test here builds under an explicit setting and
+//! these tests avoid relying on ambient state.
 
 use cobra::core::composer::{ComponentRegistry, PredictorPipeline, Topology};
+use cobra::core::config::{self, Config};
 use cobra::core::{
-    sanitize, Component, HistoryView, Meta, PredictQuery, PredictionBundle, Response, StorageReport,
+    Component, HistoryView, Meta, PredictQuery, PredictionBundle, Response, StorageReport,
 };
 use cobra::sim::{HistoryRegister, SnapError, StateReader, StateWriter};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 
-/// The sanitizer switch is process-global; tests toggling it must not
+/// The process config is global; tests toggling the sanitizer must not
 /// overlap. Poisoning is ignored — a failed test already reported itself.
 fn serialize() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs `build` with the sanitizer switched `on`, then restores the
+/// process config; what `build` compiles keeps the setting.
+fn built_with_sanitizer<T>(on: bool, build: impl FnOnce() -> T) -> T {
+    let before = config::get();
+    config::set(Config {
+        sanitize: on,
+        ..(*before).clone()
+    });
+    let built = build();
+    config::set((*before).clone());
+    built
 }
 
 /// Latency-1 hint: always predicts slot 0 taken.
@@ -109,10 +124,8 @@ fn predict_once(p: &mut PredictorPipeline) -> cobra::core::composer::PacketPredi
 #[test]
 fn sanitizer_catches_seeded_refinement_violation() {
     let _guard = serialize();
-    let mut p = broken_pipeline();
-    sanitize::set_enabled(true);
+    let mut p = built_with_sanitizer(true, broken_pipeline);
     let result = catch_unwind(AssertUnwindSafe(|| predict_once(&mut p)));
-    sanitize::set_enabled(false);
     let payload = result.expect_err("the dropped stage-1 prediction must be caught");
     let msg = payload
         .downcast_ref::<String>()
@@ -130,8 +143,7 @@ fn sanitizer_off_leaves_broken_pipeline_unchecked() {
     // Off by default: the same defective composition runs to completion,
     // exactly as on the untouched hot path.
     let _guard = serialize();
-    let mut p = broken_pipeline();
-    sanitize::set_enabled(false);
+    let mut p = built_with_sanitizer(false, broken_pipeline);
     let out = predict_once(&mut p);
     assert_eq!(out.stages[0].slot(0).taken, Some(true), "hint at stage 1");
     assert_eq!(out.stages[1].slot(0).taken, None, "silently dropped");
@@ -143,9 +155,10 @@ fn sanitizer_accepts_legal_stock_design() {
     use cobra::core::composer::{BpuConfig, BranchPredictorUnit};
     use cobra::core::designs;
     let _guard = serialize();
-    sanitize::set_enabled(true);
+    let mut bpu = built_with_sanitizer(true, || {
+        BranchPredictorUnit::build(&designs::tage_l(), BpuConfig::default()).unwrap()
+    });
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut bpu = BranchPredictorUnit::build(&designs::tage_l(), BpuConfig::default()).unwrap();
         for i in 0..64u64 {
             if let Some(id) = bpu.query(0x8000 + i * 32) {
                 bpu.tick();
@@ -155,6 +168,5 @@ fn sanitizer_accepts_legal_stock_design() {
             }
         }
     }));
-    sanitize::set_enabled(false);
     assert!(result.is_ok(), "stock TAGE-L must be sanitizer-clean");
 }
