@@ -431,7 +431,8 @@ pub fn render_plan(plan: &SamplePlan) -> String {
 /// # Errors
 ///
 /// A message naming the first structural defect (bad JSON, wrong format
-/// tag, missing or mistyped field, inconsistent totals).
+/// tag, missing or mistyped field, slices out of `start_inst` order,
+/// overlapping or repeating a `seq`, inconsistent totals).
 pub fn parse_plan(text: &str) -> Result<SamplePlan, String> {
     let v = jsonv::parse(text).map_err(|e| format!("plan JSON: {e}"))?;
     let fmt = v
@@ -473,6 +474,35 @@ pub fn parse_plan(text: &str) -> Result<SamplePlan, String> {
     }
     if slices.is_empty() {
         return Err("plan JSON: no slices".into());
+    }
+    for (i, pair) in slices.windows(2).enumerate() {
+        let (a, b) = (&pair[0], &pair[1]);
+        let defect = if b.start_inst < a.start_inst {
+            "is out of start_inst order after"
+        } else if b.start_inst < a.start_inst.saturating_add(a.len) {
+            "overlaps"
+        } else {
+            continue;
+        };
+        return Err(format!(
+            "plan JSON: slice {} (s{}, start_inst {}) {defect} slice {i} \
+             (s{}, start_inst {}, len {})",
+            i + 1,
+            b.seq,
+            b.start_inst,
+            a.seq,
+            a.start_inst,
+            a.len
+        ));
+    }
+    let mut by_seq: Vec<(u64, usize)> =
+        slices.iter().enumerate().map(|(i, s)| (s.seq, i)).collect();
+    by_seq.sort_unstable();
+    if let Some(w) = by_seq.windows(2).find(|w| w[0].0 == w[1].0) {
+        return Err(format!(
+            "plan JSON: slices {} and {} repeat seq {}",
+            w[0].1, w[1].1, w[0].0
+        ));
     }
     let plan = SamplePlan {
         workload: s("workload")?,
@@ -594,8 +624,12 @@ pub fn run_sampled(
     })
 }
 
-/// Exact-state slice evaluation: one fresh core per slice, restored from
-/// its slice checkpoint, run for the slice length.
+/// Exact-state slice evaluation: each slice restores its slice checkpoint
+/// and runs for the slice length. One core serves the slices in plan
+/// order. A restore moves its stream only forward, so each slice replays
+/// just the gap since the previous slice's end, and gaps shorter than the
+/// core's read-ahead cost no stream reads at all. A slice that starts
+/// before the previous one ended gets a fresh core, replaying from zero.
 fn run_slices_from_checkpoints(
     design: &cobra_core::composer::Design,
     cfg: CoreConfig,
@@ -603,11 +637,17 @@ fn run_slices_from_checkpoints(
     plan: &SamplePlan,
     dir: &Path,
 ) -> Result<Vec<HostCounters>, String> {
+    let fresh_core = || {
+        Core::new(design, cfg, spec.build()).map_err(|e| format!("{}: compose: {e}", design.name))
+    };
+    let mut core = fresh_core()?;
+    let mut prev_end = 0;
     let mut deltas = Vec::with_capacity(plan.slices.len());
     for slice in &plan.slices {
         let path = dir.join(slice_ckpt_name(&design.name, &plan.workload, slice.seq));
-        let mut core = Core::new(design, cfg, spec.build())
-            .map_err(|e| format!("{}: compose: {e}", design.name))?;
+        if slice.start_inst < prev_end {
+            core = fresh_core()?;
+        }
         let meta = CbsMeta::for_run(design, &cfg, &plan.workload, slice.start_inst);
         let file = std::fs::File::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         restore_checkpoint(std::io::BufReader::new(file), &meta, &mut core)
@@ -623,6 +663,7 @@ fn run_slices_from_checkpoints(
             ));
         }
         deltas.push(report.counters.delta(&baseline).to_host());
+        prev_end = end;
     }
     Ok(deltas)
 }
@@ -824,6 +865,58 @@ mod tests {
         );
         let err = parse_plan(&text).unwrap_err();
         assert!(err.contains("partition"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn parse_rejects_disordered_slices() {
+        let cbm = synthetic_cbm(12);
+        let plan = derive_plan(&cbm, 3, 5).unwrap();
+        let (a, b) = (plan.slices[0].clone(), plan.slices[1].clone());
+        let mut swapped = plan.clone();
+        swapped.slices.swap(0, 1);
+        let mut overlapping = plan.clone();
+        overlapping.slices[1].start_inst = a.start_inst + a.len - 1;
+        let mut repeated = plan.clone();
+        repeated.slices[2].seq = b.seq;
+        let seq = format!("seq {}", b.seq);
+        // (case, plan, words the error must contain)
+        let rows = [
+            (
+                "out of order",
+                swapped,
+                vec!["slice 1", "slice 0", "start_inst order"],
+            ),
+            (
+                "overlapping",
+                overlapping,
+                vec!["slice 1", "slice 0", "overlaps"],
+            ),
+            ("repeated seq", repeated, vec!["slices 1 and 2", &seq]),
+        ];
+        for (case, p, words) in rows {
+            let err = parse_plan(&render_plan(&p)).unwrap_err();
+            for w in words {
+                assert!(err.contains(w), "{case}: {err:?} lacks {w:?}");
+            }
+        }
+        // Back to back is not an overlap.
+        let mut p = plan.clone();
+        p.slices[1].start_inst = a.start_inst + a.len;
+        parse_plan(&render_plan(&p)).unwrap();
+    }
+
+    #[test]
+    fn committed_plans_parse() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/plans");
+        let mut n = 0;
+        for e in std::fs::read_dir(&dir).unwrap() {
+            let path = e.unwrap().path();
+            if path.to_string_lossy().ends_with(".plan.json") {
+                load_plan(&path).unwrap();
+                n += 1;
+            }
+        }
+        assert_eq!(n, 10, "one committed plan per SPECint17 profile");
     }
 
     #[test]

@@ -136,6 +136,16 @@ fn degenerate_checkpoint_plan_reconciles_exactly() {
     assert_eq!(outcome.estimate.mpki(), full_mpki);
     assert_eq!(outcome.estimate.ipc(), full_ipc);
 
+    // Reversed, every slice starts before the previous one ended, so each
+    // restores into a fresh core instead of the reused one: same deltas.
+    let mut reversed = plan.clone();
+    reversed.slices.reverse();
+    let back =
+        run_sampled(&design, cfg, &spec, &reversed, Some(&dir)).expect("sampled run succeeds");
+    let mut forward = outcome.deltas.clone();
+    forward.reverse();
+    assert_eq!(back.deltas, forward);
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 

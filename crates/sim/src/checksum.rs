@@ -6,7 +6,8 @@
 //! most modern storage formats, chosen over CRC-32/IEEE for its better
 //! error-detection properties at these block sizes. No hardware
 //! intrinsics: determinism across hosts matters more here than checksum
-//! throughput, which is already far faster than the encode around it.
+//! throughput, although the bytewise loop is a visible share of every
+//! `.cbt` block read and of every checkpoint decode.
 
 /// Reflected CRC-32C polynomial.
 const POLY: u32 = 0x82F6_3B78;

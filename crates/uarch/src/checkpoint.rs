@@ -162,11 +162,12 @@ pub fn read_meta<R: Read>(mut r: R) -> Result<CbsMeta, ContainerError> {
     })
 }
 
-/// Restores a `.cbs` file into `core`, which must be freshly built from
-/// the same design, configuration, and workload the checkpoint names.
-/// The whole file is validated — header and payload checksums, identity
-/// fields against `expected`, exact payload shape, no trailing bytes —
-/// before returning.
+/// Restores a `.cbs` file into `core`, which must be built from the same
+/// design, configuration, and workload the checkpoint names, and either
+/// fresh or still behind the checkpoint in the same run (the workload
+/// cursor moves only forward; see [`Core::load_state`]). The whole file
+/// is validated — header and payload checksums, identity fields against
+/// `expected`, exact payload shape, no trailing bytes — before returning.
 ///
 /// On success the core stands exactly where the capturing run stood at
 /// `expected.warmup_insts` committed instructions; calling

@@ -274,13 +274,13 @@ pub struct Core<S> {
     /// Block-batched read-ahead: instructions pulled from the stream in
     /// chunks so per-instruction fetch pays an index + bounds check rather
     /// than a full stream cursor walk. Never serialized — `stream_reads`
-    /// counts only *consumed* instructions, so a restore repositions the
-    /// fresh stream exactly at the first unconsumed one.
+    /// counts only *consumed* instructions, and a restore first consumes
+    /// the unread `inst_buf[inst_pos..]` before moving the stream itself.
     inst_buf: Vec<DynInst>,
     inst_pos: usize,
-    /// Total `next_inst` calls made on the stream — the workload cursor.
-    /// A checkpoint restore replays this many reads against a fresh
-    /// deterministic stream to reposition it.
+    /// Instructions the core has consumed from the stream — the workload
+    /// cursor a checkpoint records. The stream itself stands at
+    /// `stream_reads + (inst_buf.len() - inst_pos)`.
     stream_reads: u64,
 
     // Backend state.
@@ -388,11 +388,13 @@ impl<S: InstructionStream> Core<S> {
         &self.cfg
     }
 
-    /// Consumes the core and hands back its instruction stream — the
-    /// cursor stays wherever fetch left it (committed path plus read-ahead
-    /// batching). Phase sampling uses this to share one workload generator
-    /// across the short-lived cores of successive slices: each slice
-    /// core's [`SkipStream`](crate::SkipStream) reports its final
+    /// Consumes the core and hands back its instruction stream. The
+    /// cursor stays wherever fetch left it, which is past the consumed
+    /// instructions by the core's unread read-ahead (up to one
+    /// [`InstructionStream::next_block`] batch). Cold-start phase sampling
+    /// uses this to share one workload generator across the short-lived
+    /// cores of successive slices: each slice core's
+    /// [`SkipStream`](crate::SkipStream) reports its final
     /// [`pulls`](crate::SkipStream::pulls), so the next slice knows how
     /// far the shared cursor already advanced.
     pub fn into_stream(self) -> S {
@@ -1299,10 +1301,12 @@ impl<S: InstructionStream> Core<S> {
     /// frontend and backend queues, and the workload cursor — into a
     /// checkpoint stream.
     ///
-    /// The workload itself is not stored: only the number of `next_inst`
-    /// reads consumed so far, which [`load_state`](Self::load_state)
-    /// replays against a freshly-built deterministic stream. Per-cycle
-    /// scratch buffers are excluded (they are dead between cycles).
+    /// The workload itself is not stored: only the number of
+    /// instructions the core has consumed from its stream, to which
+    /// [`load_state`](Self::load_state) moves the stream forward. The
+    /// unread read-ahead and the per-cycle scratch buffers are excluded
+    /// (the one is re-derived from the stream, the other is dead between
+    /// cycles).
     pub fn save_state(&self, w: &mut StateWriter) {
         w.begin_section("core");
         self.save_host_state(w);
@@ -1358,15 +1362,23 @@ impl<S: InstructionStream> Core<S> {
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into a
-    /// core that was *freshly built* ([`Core::new`]) from the same design,
-    /// configuration, and workload — the stream cursor is repositioned by
-    /// replaying the recorded number of reads, which is only correct when
-    /// the stream starts at its beginning and is deterministic.
+    /// core built from the same design, configuration, and deterministic
+    /// workload. The core may be fresh ([`Core::new`]) or may already have
+    /// run: the stream cursor moves only forward, from where this core's
+    /// stream already is, to the recorded read count. It first consumes
+    /// the core's unread read-ahead, then pulls the rest from the stream
+    /// with [`next_inst`](InstructionStream::next_inst). A fresh core
+    /// therefore replays the whole recorded count, and a core reused for
+    /// successive checkpoints of one run moves only across the gaps
+    /// between them.
     ///
     /// # Errors
     ///
     /// Returns a [`SnapError`] when the payload is malformed or shaped for
-    /// a different design or configuration.
+    /// a different design or configuration, and a [`SnapError::Shape`]
+    /// when the recorded cursor is behind this core's (a stream cannot
+    /// move backwards; restore such a checkpoint into a fresh core). On
+    /// error the core may be partially overwritten and must be discarded.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
         r.open_section("core")?;
         self.host_baseline = None;
@@ -1384,12 +1396,7 @@ impl<S: InstructionStream> Core<S> {
         self.on_wrong_path = r.read_bool("core on wrong path")?;
         self.stream_done = r.read_bool("core stream done")?;
         let reads = r.read_u64("core stream reads")?;
-        for _ in 0..reads {
-            let _ = self.stream.next_inst();
-        }
-        self.stream_reads = reads;
-        self.inst_buf.clear();
-        self.inst_pos = 0;
+        self.advance_stream_to(reads)?;
         self.lookahead = if r.read_bool("core has lookahead")? {
             Some(DynInst::load_state(r)?)
         } else {
@@ -1436,6 +1443,32 @@ impl<S: InstructionStream> Core<S> {
         Ok(())
     }
 
+    /// Moves the consumed-instruction cursor forward to `reads`: through
+    /// the unread read-ahead first, then by pulling from the stream itself.
+    fn advance_stream_to(&mut self, reads: u64) -> Result<(), SnapError> {
+        let Some(gap) = reads.checked_sub(self.stream_reads) else {
+            return Err(SnapError::Shape {
+                detail: format!(
+                    "checkpoint stream cursor {reads} is behind this core's cursor {}; \
+                     a stream only moves forward, so restore it into a fresh core",
+                    self.stream_reads
+                ),
+            });
+        };
+        let buffered = (self.inst_buf.len() - self.inst_pos) as u64;
+        if gap <= buffered {
+            self.inst_pos += gap as usize;
+        } else {
+            for _ in buffered..gap {
+                let _ = self.stream.next_inst();
+            }
+            self.inst_buf.clear();
+            self.inst_pos = 0;
+        }
+        self.stream_reads = reads;
+        Ok(())
+    }
+
     /// Arms a fast-reset baseline at the current state. Host state (queues,
     /// counters, caches — all small relative to predictor tables) is
     /// serialized to an in-memory buffer; the BPU arms dirty-row SRAM
@@ -1458,9 +1491,10 @@ impl<S: InstructionStream> Core<S> {
 
     /// Restores the core to the armed baseline for a rerun. `fresh_stream`
     /// must be a freshly-built instance of the same deterministic workload;
-    /// it is repositioned by replaying the baseline's recorded read count,
-    /// exactly as [`load_state`](Self::load_state) does. The baseline stays
-    /// armed for the next rerun.
+    /// it replaces the core's stream (and drops its read-ahead), and is
+    /// moved from instruction zero to the baseline's recorded read count,
+    /// exactly as [`load_state`](Self::load_state) moves a fresh core's.
+    /// The baseline stays armed for the next rerun.
     ///
     /// # Errors
     ///
@@ -1476,6 +1510,9 @@ impl<S: InstructionStream> Core<S> {
             .take()
             .expect("reset_to_baseline without an armed baseline");
         self.stream = fresh_stream;
+        self.stream_reads = 0;
+        self.inst_buf.clear();
+        self.inst_pos = 0;
         let mut r = StateReader::new(&bytes);
         r.open_section("core-host")?;
         self.load_host_state(&mut r)?;
