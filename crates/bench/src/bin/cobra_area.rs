@@ -13,11 +13,11 @@
 //! cobra-area --all --format json            # the autotuner's pruning input
 //! ```
 //!
-//! Exit status: 0 when every design fits its budget (or none was given),
-//! 1 when at least one exceeds it or fails to elaborate, 2 on a usage
-//! error.
+//! Exit status follows the README's command-line conventions; 1 means
+//! at least one design exceeds its budget or fails to elaborate.
 
 use cobra_area::ProcessModel;
+use cobra_bench::cli::{self, Stop};
 use cobra_core::analysis::{AnalysisConfig, DesignModel, ResourceReport};
 use cobra_core::designs;
 use std::process::ExitCode;
@@ -59,56 +59,27 @@ Options:
   --lhist N         local-history entries for raw topologies [256]
   -h, --help        print this help";
 
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
     let mut o = Options::default();
-    let mut it = args.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("`{flag}` needs a value"))
-    };
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next_arg()? {
         match a.as_str() {
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
             "--all" => o.all = true,
-            "--budget" => {
-                o.budget_kb = Some(
-                    need(&mut it, "--budget")?
-                        .parse()
-                        .map_err(|_| "`--budget` needs a number (KB)".to_string())?,
-                )
-            }
-            "--format" => match need(&mut it, "--format")?.as_str() {
+            "--budget" => o.budget_kb = Some(args.parse()?),
+            "--format" => match args.value()?.as_str() {
                 "json" => o.json = true,
                 "human" => o.json = false,
-                other => return Err(format!("unknown format `{other}`")),
+                other => return Err(format!("unknown format `{other}`").into()),
             },
-            "--width" => {
-                o.width = need(&mut it, "--width")?
-                    .parse()
-                    .map_err(|_| "`--width` needs an integer".to_string())?
-            }
-            "--ghist" => {
-                o.ghist_bits = need(&mut it, "--ghist")?
-                    .parse()
-                    .map_err(|_| "`--ghist` needs an integer".to_string())?
-            }
-            "--lhist" => {
-                o.lhist_entries = need(&mut it, "--lhist")?
-                    .parse()
-                    .map_err(|_| "`--lhist` needs an integer".to_string())?
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown option `{flag}`")),
-            target => o.targets.push(target.to_string()),
+            "--width" => o.width = args.parse()?,
+            "--ghist" => o.ghist_bits = args.parse()?,
+            "--lhist" => o.lhist_entries = args.parse()?,
+            _ => o.targets.push(cli::positional(a)?),
         }
     }
     if !o.all && o.targets.is_empty() {
         return Err("no targets; pass design names, topology strings, or --all".into());
     }
-    Ok(Some(o))
+    Ok(o)
 }
 
 fn report_for(target: &str, o: &Options) -> Result<ResourceReport, String> {
@@ -192,14 +163,9 @@ fn print_human(report: &ResourceReport, process: &ProcessModel) {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = match parse_args(&args) {
-        Ok(Some(o)) => o,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("cobra-area: {msg}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let o = match cli::parse("cobra-area", USAGE, parse_args) {
+        Ok(o) => o,
+        Err(code) => return code,
     };
 
     let mut targets = o.targets.clone();

@@ -22,10 +22,11 @@
 //! the `COBRA_INSTS` environment variable (500 000), matching what the
 //! grid binaries will ask for at replay time.
 //!
-//! Exit status: 0 on success, 1 on a capture or verify failure, 2 on a
-//! usage error.
+//! Exit status follows the README's command-line conventions; 1 means
+//! a capture or verify failed.
 
-use cobra_bench::{capture_len, capture_workload, workload_by_name, KERNEL_NAMES};
+use cobra_bench::cli::{self, Stop};
+use cobra_bench::{capture_len, capture_workload, KERNEL_NAMES};
 use cobra_uarch::InstructionStream;
 use cobra_workloads::{ProgramSpec, TraceProgram, SPEC17_NAMES};
 use std::path::PathBuf;
@@ -47,66 +48,47 @@ Options:
   -h, --help       print this help";
 
 struct Options {
-    workloads: Vec<String>,
+    specs: Vec<ProgramSpec>,
     out: PathBuf,
     insts: u64,
     verify: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
     let mut workloads: Vec<String> = Vec::new();
     let mut all = false;
     let mut out = PathBuf::from("traces");
     let mut insts = None;
     let mut verify = false;
-    let mut it = args.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("`{flag}` needs a value"))
-    };
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next_arg()? {
         match a.as_str() {
             "--all" => all = true,
-            "--out" => out = PathBuf::from(need(&mut it, "--out")?),
-            "--insts" => {
-                let v = need(&mut it, "--insts")?;
-                insts = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("`--insts {v}` is not a number"))?
-                        .max(1),
-                );
-            }
+            "--out" => out = PathBuf::from(args.value()?),
+            "--insts" => insts = Some(args.parse::<u64>()?.max(1)),
             "--verify" => verify = true,
             "--list" => {
                 println!("spec17: {}", SPEC17_NAMES.join(" "));
                 println!("kernels: {}", KERNEL_NAMES.join(" "));
-                return Ok(None);
+                return Err(Stop::Done);
             }
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
-            other => workloads.push(other.to_string()),
+            _ => workloads.push(cli::positional(a)?),
         }
     }
     if all {
-        for n in SPEC17_NAMES {
-            if !workloads.iter().any(|w| w.eq_ignore_ascii_case(n)) {
-                workloads.push((*n).to_string());
-            }
-        }
+        workloads = cli::with_spec17(workloads);
     }
     if workloads.is_empty() {
         return Err("no workloads named (try `--all` or `--list`)".into());
     }
-    Ok(Some(Options {
-        workloads,
+    Ok(Options {
+        specs: workloads
+            .iter()
+            .map(|n| cli::workload(n))
+            .collect::<Result<_, _>>()?,
         out,
         insts: insts.unwrap_or_else(|| cobra_core::config::get().insts),
         verify,
-    }))
+    })
 }
 
 /// Re-opens `path` (full integrity pass included) and checks the replayed
@@ -135,38 +117,22 @@ fn verify_capture(spec: &ProgramSpec, path: &std::path::Path) -> Result<u64, Str
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(Some(o)) => o,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("cobra-capture: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let opts = match cli::parse("cobra-capture", USAGE, parse_args) {
+        Ok(o) => o,
+        Err(code) => return code,
     };
-
-    let mut specs = Vec::new();
-    for name in &opts.workloads {
-        match workload_by_name(name) {
-            Some(s) => specs.push(s),
-            None => {
-                eprintln!("cobra-capture: unknown workload `{name}` (try `--list`)");
-                return ExitCode::from(2);
-            }
-        }
-    }
 
     let records_per_trace = capture_len(opts.insts);
     println!(
         "capturing {} workload(s) to {} ({} records each, sized for {}-inst runs)",
-        specs.len(),
+        opts.specs.len(),
         opts.out.display(),
         records_per_trace,
         opts.insts
     );
 
     let mut failed = false;
-    for spec in &specs {
+    for spec in &opts.specs {
         let t0 = Instant::now();
         match capture_workload(spec, opts.insts, &opts.out) {
             Ok((summary, path)) => {

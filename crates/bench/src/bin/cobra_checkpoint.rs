@@ -25,15 +25,16 @@
 //! precise `warmup boundary` identity mismatch rather than silently
 //! skewing the measured region.
 //!
-//! Exit status: 0 on success, 1 on a capture or verify failure, 2 on a
-//! usage error.
+//! Exit status follows the README's command-line conventions; 1 means
+//! a capture or verify failed.
 
-use cobra_bench::ckpt_file_name;
+use cobra_bench::cli::{self, Stop};
 use cobra_bench::runner::parallel_map;
+use cobra_bench::{ckpt_file_name, KERNEL_NAMES};
 use cobra_core::composer::Design;
 use cobra_core::designs;
 use cobra_uarch::{read_meta, restore_checkpoint, save_checkpoint, CbsMeta, Core, CoreConfig};
-use cobra_workloads::{kernels, spec17, ProgramSpec, SPEC17_NAMES};
+use cobra_workloads::{ProgramSpec, SPEC17_NAMES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -54,102 +55,54 @@ Options:
   --list           print design and workload names and exit
   -h, --help       print this help";
 
-const KERNEL_NAMES: &[&str] = &[
-    "dhrystone",
-    "coremark",
-    "aliasing_stress",
-    "loop_stress",
-    "history_depth",
-    "btb_stress",
-    "ras_stress",
-];
-
-fn workload_by_name(name: &str) -> Option<ProgramSpec> {
-    if SPEC17_NAMES.iter().any(|n| n.eq_ignore_ascii_case(name)) {
-        return Some(spec17::spec17(&name.to_ascii_lowercase()));
-    }
-    match name.to_ascii_lowercase().as_str() {
-        "dhrystone" => Some(kernels::dhrystone()),
-        "coremark" => Some(kernels::coremark(false)),
-        "aliasing_stress" => Some(kernels::aliasing_stress()),
-        "loop_stress" => Some(kernels::loop_stress()),
-        "history_depth" => Some(kernels::history_depth(32)),
-        "btb_stress" => Some(kernels::btb_stress()),
-        "ras_stress" => Some(kernels::ras_stress()),
-        _ => None,
-    }
-}
-
 struct Options {
-    workloads: Vec<String>,
-    designs: Option<Vec<String>>,
+    specs: Vec<ProgramSpec>,
+    designs: Vec<Design>,
     out: PathBuf,
     at: u64,
     verify: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
     let mut workloads: Vec<String> = Vec::new();
     let mut design_names: Option<Vec<String>> = None;
     let mut all = false;
     let mut out = PathBuf::from("checkpoints");
     let mut at = None;
     let mut verify = false;
-    let mut it = args.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("`{flag}` needs a value"))
-    };
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next_arg()? {
         match a.as_str() {
             "--all" => all = true,
-            "--designs" => {
-                let v = need(&mut it, "--designs")?;
-                design_names = Some(v.split(',').map(|s| s.trim().to_string()).collect());
-            }
-            "--out" => out = PathBuf::from(need(&mut it, "--out")?),
-            "--at" => {
-                let v = need(&mut it, "--at")?;
-                at = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("`--at {v}` is not a number"))?
-                        .max(1),
-                );
-            }
+            "--designs" => design_names = Some(args.csv()?),
+            "--out" => out = PathBuf::from(args.value()?),
+            "--at" => at = Some(args.parse::<u64>()?.max(1)),
             "--verify" => verify = true,
             "--list" => {
                 let names: Vec<String> = designs::all().iter().map(|d| d.name.clone()).collect();
                 println!("designs: {}", names.join(" "));
                 println!("spec17: {}", SPEC17_NAMES.join(" "));
                 println!("kernels: {}", KERNEL_NAMES.join(" "));
-                return Ok(None);
+                return Err(Stop::Done);
             }
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
-            other => workloads.push(other.to_string()),
+            _ => workloads.push(cli::positional(a)?),
         }
     }
     if all {
-        for n in SPEC17_NAMES {
-            if !workloads.iter().any(|w| w.eq_ignore_ascii_case(n)) {
-                workloads.push((*n).to_string());
-            }
-        }
+        workloads = cli::with_spec17(workloads);
     }
     if workloads.is_empty() {
         return Err("no workloads named (try `--all` or `--list`)".into());
     }
-    Ok(Some(Options {
-        workloads,
-        designs: design_names,
+    Ok(Options {
+        designs: cli::designs(design_names.as_deref())?,
+        specs: workloads
+            .iter()
+            .map(|n| cli::workload(n))
+            .collect::<Result<_, _>>()?,
         out,
         at: at.unwrap_or_else(|| cobra_core::config::get().insts * 2 / 5),
         verify,
-    }))
+    })
 }
 
 /// Captures one (design, workload) checkpoint, returning the bytes
@@ -198,44 +151,10 @@ fn verify_one(
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(Some(o)) => o,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("cobra-checkpoint: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let opts = match cli::parse("cobra-checkpoint", USAGE, parse_args) {
+        Ok(o) => o,
+        Err(code) => return code,
     };
-
-    let all_designs = designs::all();
-    let selected: Vec<&Design> = match &opts.designs {
-        Some(names) => {
-            let mut picked = Vec::new();
-            for n in names {
-                match all_designs.iter().find(|d| d.name.eq_ignore_ascii_case(n)) {
-                    Some(d) => picked.push(d),
-                    None => {
-                        eprintln!("cobra-checkpoint: unknown design `{n}` (try `--list`)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            picked
-        }
-        None => all_designs.iter().collect(),
-    };
-
-    let mut specs = Vec::new();
-    for name in &opts.workloads {
-        match workload_by_name(name) {
-            Some(s) => specs.push(s),
-            None => {
-                eprintln!("cobra-checkpoint: unknown workload `{name}` (try `--list`)");
-                return ExitCode::from(2);
-            }
-        }
-    }
 
     if let Err(e) = std::fs::create_dir_all(&opts.out) {
         eprintln!(
@@ -245,9 +164,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let pairs: Vec<(&Design, &ProgramSpec)> = selected
+    let pairs: Vec<(&Design, &ProgramSpec)> = opts
+        .designs
         .iter()
-        .flat_map(|d| specs.iter().map(move |s| (*d, s)))
+        .flat_map(|d| opts.specs.iter().map(move |s| (d, s)))
         .collect();
     println!(
         "checkpointing {} (design x workload) pair(s) to {} at {} warmup insts",

@@ -23,9 +23,10 @@
 //! execution plan against the elaborated design (the `P0101`–`P0501`
 //! verifier), appending any finding to the report.
 //!
-//! Exit status: 0 when no denied diagnostic fired, 1 when at least one
-//! did, 2 on a usage error.
+//! Exit status follows the README's command-line conventions; 1 means
+//! at least one denied diagnostic fired.
 
+use cobra_bench::cli::{self, Stop};
 use cobra_bench::reference;
 use cobra_core::analysis::{self, AnalysisConfig, DiagCode, Severity};
 use cobra_core::designs;
@@ -94,20 +95,10 @@ fn parse_code(s: &str) -> Result<DiagCode, String> {
     DiagCode::from_code(s).ok_or_else(|| format!("unknown diagnostic code `{s}`"))
 }
 
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
     let mut o = Options::default();
-    let mut it = args.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("`{flag}` needs a value"))
-    };
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next_arg()? {
         match a.as_str() {
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
             "--list-codes" => {
                 for c in DiagCode::all() {
                     println!(
@@ -117,53 +108,36 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                         c.summary()
                     );
                 }
-                return Ok(None);
+                return Err(Stop::Done);
             }
             "--all" => o.all = true,
             "--plan" => o.plan = true,
-            "--format" => match need(&mut it, "--format")?.as_str() {
+            "--format" => match args.value()?.as_str() {
                 "json" => o.format = Format::Json,
                 "human" => o.format = Format::Human,
                 "sarif" => o.format = Format::Sarif,
-                other => return Err(format!("unknown format `{other}`")),
+                other => return Err(format!("unknown format `{other}`").into()),
             },
             "--deny" => {
-                let v = need(&mut it, "--deny")?;
+                let v = args.value()?;
                 if v == "warnings" {
                     o.deny_warnings = true;
                 } else {
                     o.deny.push(parse_code(&v)?);
                 }
             }
-            "--allow" => o.allow.push(parse_code(&need(&mut it, "--allow")?)?),
-            "--width" => {
-                o.width = need(&mut it, "--width")?
-                    .parse()
-                    .map_err(|_| "`--width` needs an integer".to_string())?
-            }
-            "--ghist" => {
-                o.ghist_bits = need(&mut it, "--ghist")?
-                    .parse()
-                    .map_err(|_| "`--ghist` needs an integer".to_string())?
-            }
-            "--lhist" => {
-                o.lhist_entries = need(&mut it, "--lhist")?
-                    .parse()
-                    .map_err(|_| "`--lhist` needs an integer".to_string())?
-            }
-            "--meta-budget" => {
-                o.meta_budget_bits = need(&mut it, "--meta-budget")?
-                    .parse()
-                    .map_err(|_| "`--meta-budget` needs an integer".to_string())?
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown option `{flag}`")),
-            target => o.targets.push(target.to_string()),
+            "--allow" => o.allow.push(parse_code(&args.value()?)?),
+            "--width" => o.width = args.parse()?,
+            "--ghist" => o.ghist_bits = args.parse()?,
+            "--lhist" => o.lhist_entries = args.parse()?,
+            "--meta-budget" => o.meta_budget_bits = args.parse()?,
+            _ => o.targets.push(cli::positional(a)?),
         }
     }
     if !o.all && o.targets.is_empty() {
         return Err("no targets; pass design names, topology strings, or --all".into());
     }
-    Ok(Some(o))
+    Ok(o)
 }
 
 /// Applies deny/allow to a report's diagnostics in place.
@@ -228,14 +202,9 @@ fn lint_one(target: &str, o: &Options) -> Result<analysis::AnalysisReport, Strin
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = match parse_args(&args) {
-        Ok(Some(o)) => o,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("cobra-lint: {msg}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let o = match cli::parse("cobra-lint", USAGE, parse_args) {
+        Ok(o) => o,
+        Err(code) => return code,
     };
 
     let mut targets = o.targets.clone();

@@ -26,9 +26,10 @@
 //! totals bit-exactly — and verifies the signature geometry
 //! `cobra-sample plan` relies on (bucket count matching this build's
 //! interval engine, full-width per-record signatures, no degenerate
-//! intervals). Exit status: 0 on success, 1 when any file fails to
-//! decode, reconcile, or validate, 2 on a usage error.
+//! intervals). Exit status follows the README's command-line
+//! conventions; 1 means a file failed to decode, reconcile, or validate.
 
+use cobra_bench::cli::{self, Stop};
 use cobra_bench::jsonv;
 use cobra_core::obs::interval::cosine;
 use cobra_uarch::{read_metrics, reconcile, CbmFile};
@@ -59,7 +60,7 @@ Options:
                         (CI mode); exit 1 on any failure
   -h, --help            print this help";
 
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
     let mut o = Options {
         paths: Vec::new(),
         top: 3,
@@ -68,46 +69,29 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         similarity: false,
         phase_threshold: 0.75,
     };
-    let mut it = args.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("`{flag}` needs a value"))
-    };
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next_arg()? {
         match a.as_str() {
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--format" => match need(&mut it, "--format")?.as_str() {
+            "--format" => match args.value()?.as_str() {
                 "json" => o.json = true,
                 "human" => o.json = false,
-                other => return Err(format!("unknown format `{other}`")),
+                other => return Err(format!("unknown format `{other}`").into()),
             },
-            "--top" => {
-                o.top = need(&mut it, "--top")?
-                    .parse()
-                    .map_err(|_| "`--top` needs an integer".to_string())?
-            }
+            "--top" => o.top = args.parse()?,
             "--phase-threshold" => {
-                o.phase_threshold = need(&mut it, "--phase-threshold")?
-                    .parse()
-                    .map_err(|_| "`--phase-threshold` needs a number".to_string())?;
+                o.phase_threshold = args.parse()?;
                 if !(o.phase_threshold > 0.0 && o.phase_threshold <= 1.0) {
                     return Err("`--phase-threshold` must be in (0, 1]".into());
                 }
             }
             "--similarity" => o.similarity = true,
             "--check" => o.check = true,
-            flag if flag.starts_with("--") => return Err(format!("unknown option `{flag}`")),
-            p => o.paths.push(p.to_string()),
+            _ => o.paths.push(cli::positional(a)?),
         }
     }
     if o.paths.is_empty() {
         return Err("expected at least one FILE.cbm".into());
     }
-    Ok(Some(o))
+    Ok(o)
 }
 
 fn open(path: &str) -> Result<CbmFile, String> {
@@ -322,14 +306,9 @@ fn render_json(path: &str, file: &CbmFile, o: &Options) -> String {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = match parse_args(&args) {
-        Ok(Some(o)) => o,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("cobra-report: {msg}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let o = match cli::parse("cobra-report", USAGE, parse_args) {
+        Ok(o) => o,
+        Err(code) => return code,
     };
     let mut failed = false;
     for path in &o.paths {

@@ -27,9 +27,10 @@
 //! golden full-run values — the CI leg that keeps the documented error
 //! bound honest.
 //!
-//! Exit status: 0 on success (for `check`: every cell within the
-//! bound), 1 on failure, 2 on a usage error.
+//! Exit status follows the README's command-line conventions; 1 means
+//! the command failed (for `check`: a cell is outside the bound).
 
+use cobra_bench::cli::{self, Stop};
 use cobra_bench::runner::parallel_map;
 use cobra_bench::{
     jsonv,
@@ -45,7 +46,7 @@ use cobra_core::composer::Design;
 use cobra_core::config;
 use cobra_core::designs;
 use cobra_uarch::{read_metrics, save_checkpoint, CbsMeta, Core, CoreConfig};
-use cobra_workloads::{ProgramSpec, SPEC17_NAMES};
+use cobra_workloads::ProgramSpec;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -86,7 +87,7 @@ check options:
 struct Options {
     command: String,
     workloads: Vec<String>,
-    designs: Option<Vec<String>>,
+    designs: Vec<Design>,
     plans: PathBuf,
     metrics: Option<PathBuf>,
     plan_design: String,
@@ -100,23 +101,16 @@ struct Options {
     bless: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
-    let mut it = args.iter();
-    let command = match it.next() {
-        Some(c) if c == "-h" || c == "--help" => {
-            println!("{USAGE}");
-            return Ok(None);
-        }
-        Some(c) => c.clone(),
+fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
+    let command = match args.next_arg()? {
+        Some(c) if ["plan", "ckpt", "run", "check"].contains(&c.as_str()) => c,
+        Some(c) => return Err(format!("unknown command `{c}`").into()),
         None => return Err("no command (try `--help`)".into()),
     };
-    if !["plan", "ckpt", "run", "check"].contains(&command.as_str()) {
-        return Err(format!("unknown command `{command}`"));
-    }
     let mut o = Options {
         command,
         workloads: Vec::new(),
-        designs: None,
+        designs: Vec::new(),
         plans: PathBuf::from("tests/golden/plans"),
         metrics: None,
         plan_design: "TAGE-L".into(),
@@ -130,75 +124,30 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         bless: false,
     };
     let mut all = false;
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("`{flag}` needs a value"))
-    };
-    while let Some(a) = it.next() {
+    let mut design_names = None;
+    while let Some(a) = args.next_arg()? {
         match a.as_str() {
             "--all" => all = true,
-            "--plans" => o.plans = PathBuf::from(need(&mut it, "--plans")?),
-            "--designs" => {
-                let v = need(&mut it, "--designs")?;
-                o.designs = Some(v.split(',').map(|s| s.trim().to_string()).collect());
-            }
-            "--metrics" => o.metrics = Some(PathBuf::from(need(&mut it, "--metrics")?)),
-            "--design" => o.plan_design = need(&mut it, "--design")?,
-            "--k" => {
-                let v = need(&mut it, "--k")?;
-                o.k = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("`--k {v}` is not a number"))?;
-            }
-            "--seed" => {
-                let v = need(&mut it, "--seed")?;
-                o.seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("`--seed {v}` is not a number"))?;
-            }
-            "--out" => o.out = Some(PathBuf::from(need(&mut it, "--out")?)),
+            "--plans" => o.plans = PathBuf::from(args.value()?),
+            "--designs" => design_names = Some(args.csv()?),
+            "--metrics" => o.metrics = Some(PathBuf::from(args.value()?)),
+            "--design" => o.plan_design = args.value()?,
+            "--k" => o.k = args.parse()?,
+            "--seed" => o.seed = args.parse()?,
+            "--out" => o.out = Some(PathBuf::from(args.value()?)),
             "--selfcheck" => o.selfcheck = true,
-            "--golden" => o.golden = PathBuf::from(need(&mut it, "--golden")?),
-            "--bound" => {
-                let v = need(&mut it, "--bound")?;
-                o.bound = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("`--bound {v}` is not a number"))?;
-            }
-            "--report" => o.report = Some(PathBuf::from(need(&mut it, "--report")?)),
+            "--golden" => o.golden = PathBuf::from(args.value()?),
+            "--bound" => o.bound = args.parse()?,
+            "--report" => o.report = Some(PathBuf::from(args.value()?)),
             "--bless" => o.bless = true,
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
-            other => o.workloads.push(other.to_string()),
+            _ => o.workloads.push(cli::positional(a)?),
         }
     }
     if all {
-        for n in SPEC17_NAMES {
-            if !o.workloads.iter().any(|w| w.eq_ignore_ascii_case(n)) {
-                o.workloads.push((*n).to_string());
-            }
-        }
+        o.workloads = cli::with_spec17(o.workloads);
     }
-    Ok(Some(o))
-}
-
-fn selected_designs(o: &Options) -> Result<Vec<Design>, String> {
-    match &o.designs {
-        Some(names) => names
-            .iter()
-            .map(|n| {
-                designs::all()
-                    .into_iter()
-                    .find(|d| d.name.eq_ignore_ascii_case(n))
-                    .ok_or_else(|| format!("unknown design `{n}`"))
-            })
-            .collect(),
-        None => Ok(designs::all()),
-    }
+    o.designs = cli::designs(design_names.as_deref())?;
+    Ok(o)
 }
 
 /// The workloads a plans directory holds plans for, sorted.
@@ -318,14 +267,13 @@ fn capture_slices(
 
 /// `ckpt`: capture slice checkpoints for every (design, workload) pair.
 fn cmd_ckpt(o: &Options) -> Result<bool, String> {
-    let designs = selected_designs(o)?;
     let specs = resolve_workloads(o)?;
     let out = o.out.clone().unwrap_or_else(|| o.plans.clone());
     std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
     let mut jobs = Vec::new();
     for (name, spec) in &specs {
         let plan = load_plan(&o.plans.join(plan_file_name(name)))?;
-        for d in &designs {
+        for d in &o.designs {
             jobs.push((d, spec, plan.clone()));
         }
     }
@@ -455,13 +403,12 @@ fn read_golden(path: &Path) -> Result<Vec<GoldenCell>, String> {
 
 /// `check --bless`: regenerate the golden full-run JSONL.
 fn cmd_bless(o: &Options) -> Result<(), String> {
-    let designs = selected_designs(o)?;
     let specs = resolve_workloads(o)?;
     let insts = config::get().insts;
     let mut jobs = Vec::new();
     for (name, spec) in &specs {
         let plan = load_plan(&o.plans.join(plan_file_name(name)))?;
-        for d in &designs {
+        for d in &o.designs {
             jobs.push((d, spec, plan.clone()));
         }
     }
@@ -585,14 +532,9 @@ fn cmd_check(o: &Options) -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = match parse_args(&args) {
-        Ok(Some(o)) => o,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("cobra-sample: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let o = match cli::parse("cobra-sample", USAGE, parse_args) {
+        Ok(o) => o,
+        Err(code) => return code,
     };
     if config::get().sample_dir.is_some() {
         eprintln!("cobra-sample: note: COBRA_SAMPLE_DIR is ignored here (plans come from --plans)");

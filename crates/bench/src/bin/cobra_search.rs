@@ -22,9 +22,10 @@
 //! search-smoke leg runs the search twice and diffs the files, then
 //! `--validate` re-runs the static gate over every frontier member.
 //!
-//! Exit status: 0 on success (for `--validate`: every member passes),
-//! 1 on failure, 2 on a usage error.
+//! Exit status follows the README's command-line conventions; 1 means
+//! the search failed (for `--validate`: a member fails the gate).
 
+use cobra_bench::cli::{self, Stop};
 use cobra_bench::sampling::{load_plan, plan_file_name, run_sampled};
 use cobra_bench::search::{
     parse_frontier_json, prune_statically, render_frontier_human, render_frontier_json, run_search,
@@ -66,67 +67,46 @@ Options:
 
 struct Options {
     cfg: SearchConfig,
-    workloads: Vec<String>,
+    /// Each `--workloads` name with its resolved workload.
+    specs: Vec<(String, ProgramSpec)>,
     plans: Option<PathBuf>,
-    serve: Option<String>,
+    serve: Option<Listen>,
     json: Option<PathBuf>,
     validate: Option<PathBuf>,
 }
 
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
     let mut o = Options {
         cfg: SearchConfig::default(),
-        workloads: vec!["gcc".into(), "xz".into()],
+        specs: Vec::new(),
         plans: None,
         serve: None,
         json: None,
         validate: None,
     };
-    let mut it = args.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("`{flag}` needs a value"))
-    };
-    let num = |v: String, flag: &str| -> Result<u64, String> {
-        v.parse::<u64>()
-            .map_err(|_| format!("`{flag} {v}` is not a number"))
-    };
-    while let Some(a) = it.next() {
+    let mut workloads = vec!["gcc".to_string(), "xz".to_string()];
+    while let Some(a) = args.next_arg()? {
         match a.as_str() {
-            "--budget" => {
-                let v = need(&mut it, "--budget")?;
-                o.cfg.budget_kb = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("`--budget {v}` is not a number"))?;
+            "--budget" => o.cfg.budget_kb = args.parse()?,
+            "--seed" => o.cfg.seed = args.parse()?,
+            "--generations" => o.cfg.generations = args.parse()?,
+            "--population" => o.cfg.population = args.parse::<usize>()?.max(1),
+            "--workloads" => workloads = args.csv()?,
+            "--plans" => o.plans = Some(PathBuf::from(args.value()?)),
+            "--serve" => {
+                let addr = args.value()?;
+                o.serve = Some(Listen::parse(&addr).map_err(|e| format!("--serve {addr}: {e}"))?);
             }
-            "--seed" => o.cfg.seed = num(need(&mut it, "--seed")?, "--seed")?,
-            "--generations" => {
-                o.cfg.generations = num(need(&mut it, "--generations")?, "--generations")? as usize
-            }
-            "--population" => {
-                let p = num(need(&mut it, "--population")?, "--population")? as usize;
-                o.cfg.population = p.max(1);
-            }
-            "--workloads" => {
-                let v = need(&mut it, "--workloads")?;
-                o.workloads = v.split(',').map(|s| s.trim().to_string()).collect();
-            }
-            "--plans" => o.plans = Some(PathBuf::from(need(&mut it, "--plans")?)),
-            "--serve" => o.serve = Some(need(&mut it, "--serve")?),
-            "--json" => o.json = Some(PathBuf::from(need(&mut it, "--json")?)),
-            "--validate" => o.validate = Some(PathBuf::from(need(&mut it, "--validate")?)),
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            other => return Err(format!("unknown option `{other}`")),
+            "--json" => o.json = Some(PathBuf::from(args.value()?)),
+            "--validate" => o.validate = Some(PathBuf::from(args.value()?)),
+            _ => return Err(cli::unexpected(&a)),
         }
     }
-    if o.workloads.is_empty() {
-        return Err("`--workloads` named no workloads".into());
+    for name in workloads {
+        let spec = workload_by_name(&name).ok_or(format!("unknown workload `{name}`"))?;
+        o.specs.push((name, spec));
     }
-    Ok(Some(o))
+    Ok(o)
 }
 
 /// `--validate`: every frontier member must still pass the static gate
@@ -254,14 +234,9 @@ fn eval_serve(
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = match parse_args(&args) {
-        Ok(Some(o)) => o,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("cobra-search: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let o = match cli::parse("cobra-search", USAGE, parse_args) {
+        Ok(o) => o,
+        Err(code) => return code,
     };
 
     if let Some(path) = &o.validate {
@@ -275,27 +250,6 @@ fn main() -> ExitCode {
         };
     }
 
-    let mut specs = Vec::new();
-    for name in &o.workloads {
-        match workload_by_name(name) {
-            Some(s) => specs.push((name.clone(), s)),
-            None => {
-                eprintln!("cobra-search: unknown workload `{name}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let listen = match &o.serve {
-        Some(addr) => match Listen::parse(addr) {
-            Ok(l) => Some(l),
-            Err(e) => {
-                eprintln!("cobra-search: --serve {addr}: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-
     println!(
         "searching under {} KB: seed {}, {} generation(s), population {}, \
          workloads [{}], {} thread(s), {}",
@@ -303,9 +257,13 @@ fn main() -> ExitCode {
         o.cfg.seed,
         o.cfg.generations,
         o.cfg.population,
-        o.workloads.join(", "),
+        o.specs
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .collect::<Vec<_>>()
+            .join(", "),
         config::get().threads,
-        match (&listen, &o.plans) {
+        match (&o.serve, &o.plans) {
             (Some(_), _) => "evaluating via cobra-serve".to_string(),
             (None, Some(p)) => format!("phase-sampled via {}", p.display()),
             (None, None) => "exact in-process evaluation".to_string(),
@@ -314,9 +272,11 @@ fn main() -> ExitCode {
 
     let t0 = Instant::now();
     let next_id = AtomicU64::new(1);
-    let outcome = match &listen {
-        Some(l) => run_search(&o.cfg, |cand| eval_serve(cand, &specs, l, &next_id)),
-        None => run_search(&o.cfg, |cand| eval_local(cand, &specs, o.plans.as_deref())),
+    let outcome = match &o.serve {
+        Some(l) => run_search(&o.cfg, |cand| eval_serve(cand, &o.specs, l, &next_id)),
+        None => run_search(&o.cfg, |cand| {
+            eval_local(cand, &o.specs, o.plans.as_deref())
+        }),
     };
     eprintln!(
         "[search] {} candidate(s) statically pruned, {} simulated, {:.1}s",

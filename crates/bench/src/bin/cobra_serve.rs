@@ -25,14 +25,16 @@
 //! On SIGTERM or SIGINT the daemon drains: it stops admitting, finishes
 //! every queued job, flushes each connection, and exits.
 //!
-//! Exit status: 0 on success, 1 on a runtime failure (connection lost,
-//! job rejected, `--expect-cache` mismatch), 2 on a usage error.
+//! Exit status follows the README's command-line conventions; 1 means a
+//! runtime failure (connection lost, job rejected, `--expect-cache`
+//! mismatch).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use cobra_bench::cli::{self, Stop};
 use cobra_bench::jsonv::{self, Json};
 use cobra_bench::serve::client::Client;
 use cobra_bench::serve::exec::execute_job;
@@ -93,7 +95,7 @@ struct Options {
 
 /// Parses `args` over the environment knobs: each flag overrides the
 /// config field it duplicates.
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
     let config = cobra_core::config::get();
     let mut o = Options {
         listen: Listen::parse(DEFAULT_LISTEN).expect("default listen endpoint parses"),
@@ -109,63 +111,44 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         expect_cache: None,
         shutdown: false,
     };
-    let mut it = args.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("`{flag}` needs a value"))
-    };
-    let uint = |flag: &str, v: String| {
-        v.parse::<u64>()
-            .map_err(|_| format!("`{flag}` needs an unsigned integer, got `{v}`"))
-    };
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next_arg()? {
         match a.as_str() {
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--listen" => o.listen = Listen::parse(&need(&mut it, "--listen")?)?,
-            "--threads" => {
-                o.threads = uint("--threads", need(&mut it, "--threads")?)?.max(1) as usize
-            }
-            "--queue" => o.queue_cap = uint("--queue", need(&mut it, "--queue")?)?.max(1) as usize,
+            "--listen" => o.listen = Listen::parse(&args.value()?)?,
+            "--threads" => o.threads = args.parse::<usize>()?.max(1),
+            "--queue" => o.queue_cap = args.parse::<usize>()?.max(1),
             "--cache" => {
-                let v = need(&mut it, "--cache")?;
+                let v = args.value()?;
                 o.cache_dir = if v == "off" {
                     None
                 } else {
                     Some(PathBuf::from(v))
                 };
             }
-            "--insts-cap" => o.insts_cap = uint("--insts-cap", need(&mut it, "--insts-cap")?)?,
-            "--progress" => o.progress = Some(uint("--progress", need(&mut it, "--progress")?)?),
+            "--insts-cap" => o.insts_cap = args.parse()?,
+            "--progress" => o.progress = Some(args.parse()?),
             "--bench-client" => o.bench_client = true,
             "--direct" => o.direct = true,
-            "--connections" => {
-                o.connections =
-                    uint("--connections", need(&mut it, "--connections")?)?.max(1) as usize
-            }
-            "--insts" => o.insts = uint("--insts", need(&mut it, "--insts")?)?.max(1),
+            "--connections" => o.connections = args.parse::<usize>()?.max(1),
+            "--insts" => o.insts = args.parse::<u64>()?.max(1),
             "--expect-cache" => {
-                let v = need(&mut it, "--expect-cache")?;
+                let v = args.value()?;
                 match v.as_str() {
                     "hit" | "warm" | "miss" => o.expect_cache = Some(v),
                     other => {
-                        return Err(format!(
-                            "`--expect-cache` takes hit/warm/miss, got `{other}`"
-                        ))
+                        return Err(
+                            format!("`--expect-cache` takes hit/warm/miss, got `{other}`").into(),
+                        )
                     }
                 }
             }
             "--shutdown" => o.shutdown = true,
-            flag => return Err(format!("unknown option `{flag}`")),
+            _ => return Err(cli::unexpected(&a)),
         }
     }
     if o.direct && (o.bench_client || o.shutdown) {
         return Err("`--direct` runs without a daemon; drop `--bench-client`/`--shutdown`".into());
     }
-    Ok(Some(o))
+    Ok(o)
 }
 
 /// The fig. 10 grid in design-major order — the same cell order the
@@ -181,14 +164,9 @@ fn grid() -> Vec<(String, String)> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = match parse_args(&args) {
-        Ok(Some(o)) => o,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("cobra-serve: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let o = match cli::parse("cobra-serve", USAGE, parse_args) {
+        Ok(o) => o,
+        Err(code) => return code,
     };
     let outcome = if o.direct {
         run_direct(&o)

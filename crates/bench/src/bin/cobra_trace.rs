@@ -21,22 +21,24 @@
 //! reconciliation invariant (per-component blame sums to the core's
 //! branch-miss count exactly).
 //!
-//! Exit status: 0 on success, 1 when `--selfcheck` finds a violation,
-//! 2 on a usage error.
+//! Exit status follows the README's command-line conventions; 1 means
+//! `--selfcheck` found a violation.
 
-use cobra_bench::{jsonv, runner};
+use cobra_bench::cli::{self, Stop};
+use cobra_bench::{jsonv, runner, KERNEL_NAMES};
+use cobra_core::composer::Design;
 use cobra_core::designs;
 use cobra_core::obs::trace::{TraceFormat, TraceSink};
 use cobra_core::obs::{AttributionReport, PcBlame};
 use cobra_uarch::{Core, CoreConfig, PerfReport};
-use cobra_workloads::{kernels, spec17, ProgramSpec, SPEC17_NAMES};
+use cobra_workloads::{ProgramSpec, SPEC17_NAMES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 struct Options {
-    design: String,
-    workload: String,
+    design: Design,
+    spec: ProgramSpec,
     json: bool,
     top: usize,
     insts: Option<u64>,
@@ -66,32 +68,6 @@ Options:
   --list           print known designs and workloads and exit
   -h, --help       print this help";
 
-const KERNEL_NAMES: &[&str] = &[
-    "dhrystone",
-    "coremark",
-    "aliasing_stress",
-    "loop_stress",
-    "history_depth",
-    "btb_stress",
-    "ras_stress",
-];
-
-fn workload_by_name(name: &str) -> Option<ProgramSpec> {
-    if SPEC17_NAMES.iter().any(|n| n.eq_ignore_ascii_case(name)) {
-        return Some(spec17(&name.to_ascii_lowercase()));
-    }
-    match name.to_ascii_lowercase().as_str() {
-        "dhrystone" => Some(kernels::dhrystone()),
-        "coremark" => Some(kernels::coremark(false)),
-        "aliasing_stress" => Some(kernels::aliasing_stress()),
-        "loop_stress" => Some(kernels::loop_stress()),
-        "history_depth" => Some(kernels::history_depth(32)),
-        "btb_stress" => Some(kernels::btb_stress()),
-        "ras_stress" => Some(kernels::ras_stress()),
-        _ => None,
-    }
-}
-
 fn print_list() {
     println!("designs:");
     for d in designs::catalog() {
@@ -102,7 +78,7 @@ fn print_list() {
     println!("  kernels: {}", KERNEL_NAMES.join(" "));
 }
 
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
     let mut positional: Vec<String> = Vec::new();
     let mut json = false;
     let mut top = 10usize;
@@ -112,59 +88,35 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut chrome = None;
     let mut metrics = None;
     let mut selfcheck = false;
-    let mut it = args.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("`{flag}` needs a value"))
-    };
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next_arg()? {
         match a.as_str() {
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
             "--list" => {
                 print_list();
-                return Ok(None);
+                return Err(Stop::Done);
             }
-            "--format" => match need(&mut it, "--format")?.as_str() {
+            "--format" => match args.value()?.as_str() {
                 "json" => json = true,
                 "human" => json = false,
-                other => return Err(format!("unknown format `{other}`")),
+                other => return Err(format!("unknown format `{other}`").into()),
             },
-            "--top" => {
-                top = need(&mut it, "--top")?
-                    .parse()
-                    .map_err(|_| "`--top` needs an integer".to_string())?
-            }
-            "--insts" => {
-                insts = Some(
-                    need(&mut it, "--insts")?
-                        .parse::<u64>()
-                        .map_err(|_| "`--insts` needs an integer".to_string())?
-                        .max(1),
-                )
-            }
-            "--warmup" => {
-                warmup = need(&mut it, "--warmup")?
-                    .parse()
-                    .map_err(|_| "`--warmup` needs an integer".to_string())?
-            }
-            "--trace" => trace = Some(need(&mut it, "--trace")?),
-            "--chrome" => chrome = Some(need(&mut it, "--chrome")?),
-            "--metrics" => metrics = Some(need(&mut it, "--metrics")?),
+            "--top" => top = args.parse()?,
+            "--insts" => insts = Some(args.parse::<u64>()?.max(1)),
+            "--warmup" => warmup = args.parse()?,
+            "--trace" => trace = Some(args.value()?),
+            "--chrome" => chrome = Some(args.value()?),
+            "--metrics" => metrics = Some(args.value()?),
             "--selfcheck" => selfcheck = true,
-            flag if flag.starts_with("--") => return Err(format!("unknown option `{flag}`")),
-            p => positional.push(p.to_string()),
+            _ => positional.push(cli::positional(a)?),
         }
     }
     let [design, workload] = positional.as_slice() else {
         return Err("expected exactly DESIGN and WORKLOAD (try --list)".into());
     };
-    Ok(Some(Options {
-        design: design.clone(),
-        workload: workload.clone(),
+    let design =
+        designs::by_name(design).ok_or(format!("unknown design `{design}` (try --list)"))?;
+    Ok(Options {
+        design,
+        spec: cli::workload(workload)?,
         json,
         top,
         insts,
@@ -173,7 +125,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         chrome,
         metrics,
         selfcheck,
-    }))
+    })
 }
 
 /// One mispredicted-PC row: the PC, its total blame, and the nonzero
@@ -477,29 +429,14 @@ fn selfcheck(report: &PerfReport, json_report: &str, trace_path: Option<&str>) -
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = match parse_args(&args) {
-        Ok(Some(o)) => o,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("cobra-trace: {msg}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let o = match cli::parse("cobra-trace", USAGE, parse_args) {
+        Ok(o) => o,
+        Err(code) => return code,
     };
-    let Some(design) = designs::by_name(&o.design) else {
-        eprintln!("cobra-trace: unknown design `{}` (try --list)", o.design);
-        return ExitCode::from(2);
-    };
-    let Some(spec) = workload_by_name(&o.workload) else {
-        eprintln!(
-            "cobra-trace: unknown workload `{}` (try --list)",
-            o.workload
-        );
-        return ExitCode::from(2);
-    };
+    let (design, spec) = (&o.design, &o.spec);
     let measure = o.insts.unwrap_or_else(|| cobra_core::config::get().insts);
 
-    let mut core = match Core::new(&design, CoreConfig::default(), spec.build()) {
+    let mut core = match Core::new(design, CoreConfig::default(), spec.build()) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cobra-trace: `{}` failed to compose: {e}", design.name);

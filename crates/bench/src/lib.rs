@@ -66,6 +66,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod jsonv;
 pub mod reference;
 pub mod runner;

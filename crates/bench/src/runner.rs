@@ -290,7 +290,8 @@ pub fn packet_path_mode() -> &'static str {
 
 /// A machine-readable summary of a finished grid: total wall clock,
 /// aggregate MIPS, packet-path mode, thread count, and one record per
-/// job. What the fig10 harness writes to `results/bench_fig10.json`.
+/// job. What the fig10 harness writes to `COBRA_GRID_JSON` when it is
+/// set (the committed `results/bench_fig10.json` is one such run).
 pub fn grid_summary_json(results: &[JobResult], threads: usize, wall: Duration) -> String {
     let insts: u64 = results
         .iter()

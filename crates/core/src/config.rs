@@ -78,7 +78,7 @@ pub const KNOBS: [Knob; 20] = [
     knob("COBRA_INTERVAL_DIR", Rule::Path, "metrics/", "where .cbm interval files go"),
     knob("COBRA_PROGRESS", Rule::Count, "unset", "per-job heartbeat period; 0 means off"),
     knob("COBRA_PROFILE", Rule::Flag, "off", "arm the plan-node self-profiler"),
-    knob("COBRA_GRID_JSON", Rule::Path, "results/bench_fig10.json", "fig10_spec run-summary path"),
+    knob("COBRA_GRID_JSON", Rule::Path, "unset", "fig10_spec run-summary path; unset writes none"),
 ];
 
 /// The resolved value of every knob, one typed field each; see
@@ -123,8 +123,8 @@ pub struct Config {
     pub progress: Option<u64>,
     /// `COBRA_PROFILE`.
     pub profile: bool,
-    /// `COBRA_GRID_JSON`.
-    pub grid_json: PathBuf,
+    /// `COBRA_GRID_JSON` (`None`: no summary is written).
+    pub grid_json: Option<PathBuf>,
 }
 
 impl Default for Config {
@@ -150,7 +150,7 @@ impl Default for Config {
             interval_dir: PathBuf::from("metrics"),
             progress: None,
             profile: false,
-            grid_json: PathBuf::from("results/bench_fig10.json"),
+            grid_json: None,
         }
     }
 }
@@ -197,7 +197,7 @@ impl Config {
                 .map_or(d.interval_dir, PathBuf::from),
             progress: v.count("COBRA_PROGRESS").filter(|&n| n > 0),
             profile: v.flag("COBRA_PROFILE").unwrap_or(d.profile),
-            grid_json: v.path("COBRA_GRID_JSON").map_or(d.grid_json, PathBuf::from),
+            grid_json: v.path("COBRA_GRID_JSON").map(PathBuf::from),
         };
         (config, v.warnings)
     }

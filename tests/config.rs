@@ -111,7 +111,7 @@ fn documented_defaults_are_the_default_config() {
             checked += 1;
         }
     }
-    assert_eq!(checked, 10, "knobs whose documented default is a value");
+    assert_eq!(checked, 9, "knobs whose documented default is a value");
 }
 
 /// `docs/CONFIG.md` lists exactly the knob table: the same variables
