@@ -40,13 +40,13 @@ use cobra_bench::{
         derive_plan, load_plan, plan_file_name, render_plan, run_sampled, slice_ckpt_name,
         SamplePlan,
     },
-    workload_by_name,
+    workload_by_name, KERNEL_NAMES,
 };
 use cobra_core::composer::Design;
 use cobra_core::config;
 use cobra_core::designs;
 use cobra_uarch::{read_metrics, save_checkpoint, CbsMeta, Core, CoreConfig};
-use cobra_workloads::ProgramSpec;
+use cobra_workloads::{ProgramSpec, SPEC17_NAMES};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -86,7 +86,10 @@ check options:
 
 struct Options {
     command: String,
-    workloads: Vec<String>,
+    /// The workloads named on argv, resolved (for `run`, its WORKLOAD).
+    workloads: Vec<(String, ProgramSpec)>,
+    /// `run`'s DESIGN.
+    run_design: Option<Design>,
     designs: Vec<Design>,
     plans: PathBuf,
     metrics: Option<PathBuf>,
@@ -110,6 +113,7 @@ fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
     let mut o = Options {
         command,
         workloads: Vec::new(),
+        run_design: None,
         designs: Vec::new(),
         plans: PathBuf::from("tests/golden/plans"),
         metrics: None,
@@ -124,6 +128,7 @@ fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
         bless: false,
     };
     let mut all = false;
+    let mut names = Vec::new();
     let mut design_names = None;
     while let Some(a) = args.next_arg()? {
         match a.as_str() {
@@ -140,12 +145,33 @@ fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
             "--bound" => o.bound = args.parse()?,
             "--report" => o.report = Some(PathBuf::from(args.value()?)),
             "--bless" => o.bless = true,
-            _ => o.workloads.push(cli::positional(a)?),
+            _ => names.push(cli::positional(a)?),
         }
     }
     if all {
-        o.workloads = cli::with_spec17(o.workloads);
+        names = cli::with_spec17(names);
     }
+    if o.command == "run" {
+        if names.len() != 2 {
+            return Err("`run` takes exactly DESIGN WORKLOAD".into());
+        }
+        let d = names.remove(0);
+        o.run_design = Some(designs::by_name(&d).ok_or_else(|| {
+            let known: Vec<String> = designs::catalog().into_iter().map(|d| d.name).collect();
+            format!("unknown design `{d}` (one of {})", known.join(", "))
+        })?);
+    }
+    o.workloads = names
+        .into_iter()
+        .map(|n| match workload_by_name(&n) {
+            Some(spec) => Ok((n, spec)),
+            None => Err(format!(
+                "unknown workload `{n}` (one of {}, {})",
+                SPEC17_NAMES.join(", "),
+                KERNEL_NAMES.join(", ")
+            )),
+        })
+        .collect::<Result<_, _>>()?;
     o.designs = cli::designs(design_names.as_deref())?;
     Ok(o)
 }
@@ -165,25 +191,29 @@ fn planned_workloads(plans: &Path) -> Vec<String> {
     out
 }
 
+/// The workloads named on argv, or else those the plans directory holds
+/// plans for. A plan file naming an unknown workload is a failure (exit
+/// 1), not a usage error: the directory is wrong, not the argv.
 fn resolve_workloads(o: &Options) -> Result<Vec<(String, ProgramSpec)>, String> {
-    let names = if o.workloads.is_empty() {
-        let planned = planned_workloads(&o.plans);
-        if planned.is_empty() {
-            return Err(format!(
-                "no workloads named and no plans in {} (try `--all`)",
-                o.plans.display()
-            ));
-        }
-        planned
-    } else {
-        o.workloads.clone()
-    };
-    names
+    if !o.workloads.is_empty() {
+        return Ok(o.workloads.clone());
+    }
+    let planned = planned_workloads(&o.plans);
+    if planned.is_empty() {
+        return Err(format!(
+            "no workloads named and no plans in {} (try `--all`)",
+            o.plans.display()
+        ));
+    }
+    planned
         .into_iter()
         .map(|n| {
-            workload_by_name(&n)
-                .map(|s| (n.clone(), s))
-                .ok_or_else(|| format!("unknown workload `{n}`"))
+            workload_by_name(&n).map(|s| (n.clone(), s)).ok_or_else(|| {
+                format!(
+                    "{} holds a plan for unknown workload `{n}`",
+                    o.plans.display()
+                )
+            })
         })
         .collect()
 }
@@ -199,7 +229,7 @@ fn cmd_plan(o: &Options) -> Result<(), String> {
         .unwrap_or_else(|| config::get().interval_dir.clone());
     let out = o.out.clone().unwrap_or_else(|| o.plans.clone());
     std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-    for w in &o.workloads {
+    for (w, _) in &o.workloads {
         let cbm_path = metrics.join(metrics_file_name(&o.plan_design, w));
         let file = std::fs::File::open(&cbm_path).map_err(|e| {
             format!(
@@ -314,20 +344,15 @@ fn run_full(design: &Design, spec: &ProgramSpec, plan: &SamplePlan) -> Result<f6
 /// `run`: sampled estimate for one (design, workload), optionally next
 /// to the exact run.
 fn cmd_run(o: &Options) -> Result<bool, String> {
-    let (design_name, workload) = match o.workloads.as_slice() {
-        [d, w] => (d.clone(), w.clone()),
-        _ => return Err("`run` takes exactly DESIGN WORKLOAD".into()),
+    let (Some(design), [(workload, spec)]) = (&o.run_design, o.workloads.as_slice()) else {
+        unreachable!("parse_args checks `run`'s DESIGN WORKLOAD");
     };
-    let design =
-        designs::by_name(&design_name).ok_or_else(|| format!("unknown design `{design_name}`"))?;
-    let spec =
-        workload_by_name(&workload).ok_or_else(|| format!("unknown workload `{workload}`"))?;
-    let plan = load_plan(&o.plans.join(plan_file_name(&workload)))?;
+    let plan = load_plan(&o.plans.join(plan_file_name(workload)))?;
     let t0 = Instant::now();
     let outcome = run_sampled(
-        &design,
+        design,
         CoreConfig::boom_4wide(),
-        &spec,
+        spec,
         &plan,
         Some(&o.plans),
     )?;
@@ -343,7 +368,7 @@ fn cmd_run(o: &Options) -> Result<bool, String> {
     );
     if o.selfcheck {
         let t1 = Instant::now();
-        let full_mpki = run_full(&design, &spec, &plan)?;
+        let full_mpki = run_full(design, spec, &plan)?;
         let full_wall = t1.elapsed().as_secs_f64();
         let err = err_pct(outcome.estimate.mpki(), full_mpki);
         println!(

@@ -8,9 +8,18 @@
 //! used to validate those streams in `--selfcheck` mode and in tests —
 //! strict enough to reject malformed output (trailing garbage, bad
 //! escapes, unterminated strings), with no serde-style mapping layer.
+//!
+//! The parser also reads untrusted lines (`cobra-serve` requests), so
+//! its recursion is bounded: arrays and objects nest at most
+//! [`MAX_DEPTH`] levels, far above the few levels any document this repo
+//! writes uses, and far below what a thread stack can hold.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The deepest array/object nesting [`parse`] accepts; one level deeper
+/// is a [`ParseError`].
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +103,7 @@ impl fmt::Display for ParseError {
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let b = input.as_bytes();
     let mut pos = 0;
-    let v = value(b, &mut pos)?;
+    let v = value(b, &mut pos, 0)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(err(pos, "trailing characters after value"));
@@ -144,7 +153,8 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), ParseError> {
     }
 }
 
-fn value(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// Parses one value whose enclosing arrays/objects number `depth`.
+fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
@@ -152,8 +162,12 @@ fn value(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         Some(b't') => expect(b, pos, "true").map(|_| Json::Bool(true)),
         Some(b'f') => expect(b, pos, "false").map(|_| Json::Bool(false)),
         Some(b'"') => string(b, pos).map(Json::Str),
-        Some(b'[') => array(b, pos),
-        Some(b'{') => object(b, pos),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(err(
+            *pos,
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'[') => array(b, pos, depth + 1),
+        Some(b'{') => object(b, pos, depth + 1),
         Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
         Some(c) => Err(err(*pos, &format!("unexpected byte `{}`", *c as char))),
     }
@@ -231,7 +245,7 @@ fn number(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         .ok_or_else(|| err(start, "malformed number"))
 }
 
-fn array(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     *pos += 1; // [
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -240,7 +254,7 @@ fn array(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         return Ok(Json::Arr(out));
     }
     loop {
-        out.push(value(b, pos)?);
+        out.push(value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -253,7 +267,7 @@ fn array(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     }
 }
 
-fn object(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     *pos += 1; // {
     let mut out = BTreeMap::new();
     skip_ws(b, pos);
@@ -269,7 +283,7 @@ fn object(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         let key = string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, ":")?;
-        let v = value(b, pos)?;
+        let v = value(b, pos, depth)?;
         out.insert(key, v);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -313,6 +327,35 @@ mod tests {
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{\"a\" 1}").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let e = parse(&deep).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH);
+        assert_eq!(e.msg, "nesting deeper than 64 levels");
+        assert!(parse(&format!(
+            "{}{{}}{}",
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        ))
+        .is_err());
+    }
+
+    #[test]
+    fn a_million_brackets_fail_on_a_small_stack() {
+        // Serve connection threads run on the default 2 MiB stack.
+        let line = "[".repeat(1_000_000);
+        let got = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&line).map(drop))
+            .unwrap()
+            .join()
+            .expect("parser overflowed its stack");
+        assert!(got.unwrap_err().msg.contains("nesting deeper than"));
     }
 
     #[test]

@@ -233,6 +233,12 @@ fn every_flag_in_usage_is_accepted() {
     }
 }
 
+/// `cobra-sample` has no `--list`, so its unknown-workload error names
+/// every workload instead of pointing at one.
+const SAMPLE_UNKNOWN_WORKLOAD: &str = "unknown workload `nope` (one of perlbench, gcc, mcf, \
+     omnetpp, xalancbmk, x264, deepsjeng, leela, exchange2, xz, dhrystone, coremark, \
+     aliasing_stress, loop_stress, history_depth, btb_stress, ras_stress)";
+
 /// One exact message per kind of usage error.
 #[test]
 fn usage_errors_name_the_argument_exactly() {
@@ -272,6 +278,28 @@ fn usage_errors_name_the_argument_exactly() {
             "cobra-sample",
             &["ckpt", "--designs", "nope"],
             "unknown design `nope` (one of Tournament, B2, TAGE-L)",
+        ),
+        (
+            "cobra-sample",
+            &["run", "TAGE-L"],
+            "`run` takes exactly DESIGN WORKLOAD",
+        ),
+        (
+            "cobra-sample",
+            &["run", "nope", "gcc"],
+            "unknown design `nope` (one of Tournament, B2, TAGE-L, TAGE-SC-L, TAGE-L+IT, \
+             Perceptron, TAGE-L/lat2)",
+        ),
+        (
+            "cobra-sample",
+            &["run", "TAGE-L", "nope"],
+            SAMPLE_UNKNOWN_WORKLOAD,
+        ),
+        ("cobra-sample", &["ckpt", "nope"], SAMPLE_UNKNOWN_WORKLOAD),
+        (
+            "cobra-sample",
+            &["check", "gcc", "nope"],
+            SAMPLE_UNKNOWN_WORKLOAD,
         ),
         (
             "cobra-capture",

@@ -8,8 +8,7 @@
 //! produce bit-identical [`PerfReport`]s (counters *and* per-component
 //! attribution) with `COBRA_PLAN=off` and with the plan enabled —
 //! execution-driven, trace-replayed (`COBRA_TRACE_DIR`), and
-//! checkpoint-restored (`COBRA_CKPT_DIR`), plus a dirty-state
-//! `reset_to_baseline` rerun arm.
+//! checkpoint-restored (`COBRA_CKPT_DIR`).
 //!
 //! One test function on purpose: it pins the `COBRA_PLAN`, `COBRA_INSTS`,
 //! `COBRA_TRACE_DIR`, and `COBRA_CKPT_DIR` knobs of the process config,
@@ -19,7 +18,7 @@ use cobra_bench::{capture_workload, ckpt_file_name, run_one};
 use cobra_core::composer::Design;
 use cobra_core::config::{self, Config};
 use cobra_core::designs;
-use cobra_uarch::{restore_checkpoint, save_checkpoint, CbsMeta, Core, CoreConfig, PerfReport};
+use cobra_uarch::{save_checkpoint, CbsMeta, Core, CoreConfig, PerfReport};
 use cobra_workloads::{spec17, ProgramSpec};
 use std::path::Path;
 
@@ -117,38 +116,13 @@ fn plan_matches_interpreter_on_every_design_and_profile() {
         }
     }
     config::set(Config {
-        ckpt_dir: Some(ckpt_dir.clone()),
+        ckpt_dir: Some(ckpt_dir),
         ..(*config::get()).clone()
     });
     set_plan(false);
     assert_identical(&reference, &sweep(&all, &specs), "ckpt+interpreter");
     set_plan(true);
     assert_identical(&reference, &sweep(&all, &specs), "ckpt+plan");
-
-    // Arm 4 — dirty-state rerun: restore once, then measure twice with a
-    // `reset_to_baseline` in between. Both reruns must reproduce the
-    // reference report exactly, proving the dirty-row reset restores every
-    // mutated table row (a missed row would skew the second run).
-    for (di, d) in all.iter().enumerate() {
-        for (si, s) in specs.iter().take(3).enumerate() {
-            let cfg = CoreConfig::boom_4wide();
-            let mut core = Core::new(d, cfg, s.build()).expect("compose");
-            let meta = CbsMeta::for_run(d, &cfg, &s.name, warmup);
-            let bytes = std::fs::read(ckpt_dir.join(ckpt_file_name(&d.name, &s.name))).unwrap();
-            restore_checkpoint(&bytes[..], &meta, &mut core).expect("restore");
-            core.arm_baseline();
-            let first = core.run_with_warmup(warmup, measure, &s.name);
-            core.reset_to_baseline(s.build()).expect("dirty reset");
-            let second = core.run_with_warmup(warmup, measure, &s.name);
-            let expect = &reference[di * specs.len() + si];
-            assert_eq!(&first, expect, "rerun arm: first run diverged");
-            assert_eq!(
-                &second, expect,
-                "rerun arm: {}/{} diverged after reset_to_baseline",
-                d.name, s.name
-            );
-        }
-    }
 
     std::fs::remove_dir_all(&scratch).ok();
 }

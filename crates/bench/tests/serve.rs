@@ -244,6 +244,15 @@ fn admission_rejects_are_precise() {
 
     expect_reject(&mut c, "this is not json", protocol::E_PARSE);
     expect_reject(&mut c, "{\"op\":\"frobnicate\"}", protocol::E_PARSE);
+    // Nesting past the parser's cap is a parse reject, not a stack
+    // overflow that would take the daemon down.
+    let deep = format!("{{\"op\":\"submit\",\"id\":{}", "[".repeat(10_000));
+    let r = expect_reject(&mut c, &deep, protocol::E_PARSE);
+    assert!(r
+        .get("msg")
+        .and_then(Json::as_str)
+        .unwrap()
+        .contains(&format!("nesting deeper than {}", jsonv::MAX_DEPTH)));
     expect_reject(
         &mut c,
         "{\"op\":\"submit\",\"id\":1,\"design\":\"B2\",\"workload\":\"notaworkload\"}",

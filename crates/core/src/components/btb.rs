@@ -63,7 +63,6 @@ pub struct Btb {
     ways: Vec<SramModel<BtbEntry>>,
     /// Round-robin replacement pointer (a small flop in hardware).
     victim_ptr: u64,
-    armed_victim_ptr: Option<u64>,
 }
 
 impl Btb {
@@ -104,7 +103,6 @@ impl Btb {
             cfg,
             ways,
             victim_ptr: 0,
-            armed_victim_ptr: None,
         }
     }
 
@@ -270,23 +268,6 @@ impl Component for Btb {
                     },
                 );
             }
-        }
-    }
-
-    fn arm_baseline(&mut self) -> bool {
-        for way in &mut self.ways {
-            way.arm_baseline();
-        }
-        self.armed_victim_ptr = Some(self.victim_ptr);
-        true
-    }
-
-    fn reset_baseline(&mut self) {
-        for way in &mut self.ways {
-            way.reset_to_baseline();
-        }
-        if let Some(p) = self.armed_victim_ptr {
-            self.victim_ptr = p;
         }
     }
 

@@ -256,15 +256,6 @@ impl Component for Gtag {
         }
     }
 
-    fn arm_baseline(&mut self) -> bool {
-        self.table.arm_baseline();
-        true
-    }
-
-    fn reset_baseline(&mut self) {
-        self.table.reset_to_baseline();
-    }
-
     fn save_state(&self, w: &mut StateWriter) {
         self.table.save_state(w, |w, e| {
             w.write_bool(e.valid);

@@ -418,15 +418,6 @@ impl Component for Hbim {
         }
     }
 
-    fn arm_baseline(&mut self) -> bool {
-        self.table.arm_baseline();
-        true
-    }
-
-    fn reset_baseline(&mut self) {
-        self.table.reset_to_baseline();
-    }
-
     fn save_state(&self, w: &mut StateWriter) {
         self.table.save_state(w, |w, &c| w.write_u64(u64::from(c)));
     }

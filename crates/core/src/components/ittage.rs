@@ -326,19 +326,6 @@ impl Component for Ittage {
         }
     }
 
-    fn arm_baseline(&mut self) -> bool {
-        for t in &mut self.tables {
-            t.arm_baseline();
-        }
-        true
-    }
-
-    fn reset_baseline(&mut self) {
-        for t in &mut self.tables {
-            t.reset_to_baseline();
-        }
-    }
-
     fn save_state(&self, w: &mut StateWriter) {
         for table in &self.tables {
             table.save_state(w, |w, e| {

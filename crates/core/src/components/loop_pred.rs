@@ -74,7 +74,6 @@ struct LoopEntry {
 pub struct LoopPredictor {
     cfg: LoopConfig,
     entries: Vec<LoopEntry>,
-    baseline: Option<Vec<LoopEntry>>,
 }
 
 mod meta_layout {
@@ -99,7 +98,6 @@ impl LoopPredictor {
         Self {
             entries: vec![LoopEntry::default(); cfg.entries as usize],
             cfg,
-            baseline: None,
         }
     }
 
@@ -290,18 +288,6 @@ impl Component for LoopPredictor {
                     e.age = e.age.saturating_sub(1);
                 }
             }
-        }
-    }
-
-    fn arm_baseline(&mut self) -> bool {
-        // Loop entries are flop arrays (Copy): clone the whole table.
-        self.baseline = Some(self.entries.clone());
-        true
-    }
-
-    fn reset_baseline(&mut self) {
-        if let Some(entries) = &self.baseline {
-            self.entries.clone_from(entries);
         }
     }
 

@@ -214,15 +214,6 @@ impl Component for Perceptron {
         self.weights.write(idx, row);
     }
 
-    fn arm_baseline(&mut self) -> bool {
-        self.weights.arm_baseline();
-        true
-    }
-
-    fn reset_baseline(&mut self) {
-        self.weights.reset_to_baseline();
-    }
-
     fn save_state(&self, w: &mut StateWriter) {
         self.weights.save_state(w, |w, row| {
             w.write_u64(row.len() as u64);

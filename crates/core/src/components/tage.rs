@@ -111,7 +111,6 @@ pub struct Tage {
     use_alt_on_na: SaturatingCounter,
     rng: SplitMix64,
     update_count: u64,
-    baseline: Option<(SaturatingCounter, SplitMix64, u64)>,
 }
 
 impl Tage {
@@ -166,7 +165,6 @@ impl Tage {
             rng: SplitMix64::new(0xc0b2a),
             cfg,
             update_count: 0,
-            baseline: None,
         }
     }
 
@@ -484,25 +482,6 @@ impl Component for Tage {
             self.tables[pt].write(idx, e);
         }
         let _ = alt_plus1;
-    }
-
-    fn arm_baseline(&mut self) -> bool {
-        for t in &mut self.tables {
-            t.arm_baseline();
-        }
-        self.baseline = Some((self.use_alt_on_na, self.rng.clone(), self.update_count));
-        true
-    }
-
-    fn reset_baseline(&mut self) {
-        for t in &mut self.tables {
-            t.reset_to_baseline();
-        }
-        if let Some((chooser, rng, count)) = &self.baseline {
-            self.use_alt_on_na = *chooser;
-            self.rng = rng.clone();
-            self.update_count = *count;
-        }
     }
 
     fn save_state(&self, w: &mut StateWriter) {

@@ -259,15 +259,6 @@ impl Component for Tourney {
         }
     }
 
-    fn arm_baseline(&mut self) -> bool {
-        self.chooser.arm_baseline();
-        true
-    }
-
-    fn reset_baseline(&mut self) {
-        self.chooser.reset_to_baseline();
-    }
-
     fn save_state(&self, w: &mut StateWriter) {
         self.chooser
             .save_state(w, |w, &c| w.write_u64(u64::from(c)));

@@ -48,7 +48,6 @@ pub struct MicroBtb {
     cfg: MicroBtbConfig,
     entries: Vec<UbtbEntry>,
     victim_ptr: usize,
-    baseline: Option<(Vec<UbtbEntry>, usize)>,
 }
 
 impl MicroBtb {
@@ -73,7 +72,6 @@ impl MicroBtb {
             entries: vec![blank; cfg.entries],
             cfg,
             victim_ptr: 0,
-            baseline: None,
         }
     }
 
@@ -172,20 +170,6 @@ impl Component for MicroBtb {
                     ctr: SaturatingCounter::weakly_taken(self.cfg.counter_bits),
                 };
             }
-        }
-    }
-
-    fn arm_baseline(&mut self) -> bool {
-        // The uBTB is tiny (<= 64 flop entries): a full clone is cheaper
-        // than row-level dirty tracking.
-        self.baseline = Some((self.entries.clone(), self.victim_ptr));
-        true
-    }
-
-    fn reset_baseline(&mut self) {
-        if let Some((entries, ptr)) = &self.baseline {
-            self.entries.clone_from(entries);
-            self.victim_ptr = *ptr;
         }
     }
 

@@ -152,9 +152,6 @@ pub struct BranchPredictorUnit {
     design_name: String,
     obs: StatsSink,
     tracers: Vec<TraceSink>,
-    /// Serialized front-end state (everything but the pipeline) captured
-    /// by [`arm_baseline`](Self::arm_baseline).
-    host_baseline: Option<Vec<u8>>,
 }
 
 impl BranchPredictorUnit {
@@ -251,7 +248,6 @@ impl BranchPredictorUnit {
             design_name: design.name.clone(),
             obs,
             tracers,
-            host_baseline: None,
         })
     }
 
@@ -913,15 +909,6 @@ impl BranchPredictorUnit {
     /// plumbing.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.begin_section("bpu");
-        self.save_front_state(w);
-        self.pipeline.save_state(w);
-        w.end_section();
-    }
-
-    /// Everything [`save_state`](Self::save_state) writes *except* the
-    /// pipeline: cycle, counters, history providers, history file, stage
-    /// bundles, and the attribution sink.
-    fn save_front_state(&self, w: &mut StateWriter) {
         w.write_u64(self.cycle);
         w.write_u64(self.stats.queries);
         w.write_u64(self.stats.accepts);
@@ -942,6 +929,8 @@ impl BranchPredictorUnit {
             }
         });
         self.obs.save_state(w);
+        self.pipeline.save_state(w);
+        w.end_section();
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into a
@@ -953,13 +942,6 @@ impl BranchPredictorUnit {
     /// written by a pipeline with different node labels or table shapes.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
         r.open_section("bpu")?;
-        self.host_baseline = None;
-        self.load_front_state(r)?;
-        self.pipeline.load_state(r)?;
-        r.close_section()
-    }
-
-    fn load_front_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
         self.cycle = r.read_u64("bpu cycle")?;
         self.stats.queries = r.read_u64("bpu queries")?;
         self.stats.accepts = r.read_u64("bpu accepts")?;
@@ -983,50 +965,8 @@ impl BranchPredictorUnit {
             Ok(bundles)
         })?;
         self.obs.load_state(r)?;
-        Ok(())
-    }
-
-    /// Arms a fast-reset baseline at the current state: front-end state is
-    /// serialized to an in-memory buffer (it is small — histories, counters,
-    /// in-flight bundles), and every pipeline component arms dirty-row
-    /// tracking so [`reset_to_baseline`](Self::reset_to_baseline) touches
-    /// only mutated SRAM rows instead of reloading full tables.
-    pub fn arm_baseline(&mut self) {
-        let mut w = StateWriter::new();
-        w.begin_section("bpu-front");
-        self.save_front_state(&mut w);
-        w.end_section();
-        self.host_baseline = Some(w.finish());
-        self.pipeline.arm_baseline();
-    }
-
-    /// `true` when [`arm_baseline`](Self::arm_baseline) has been called and
-    /// no full [`load_state`](Self::load_state) has disarmed it since.
-    pub fn baseline_armed(&self) -> bool {
-        self.host_baseline.is_some() && self.pipeline.baseline_armed()
-    }
-
-    /// Restores the unit to the armed baseline. The baseline stays armed
-    /// for the next rerun.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] if a fallback payload fails to decode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no baseline is armed.
-    pub fn reset_to_baseline(&mut self) -> Result<(), SnapError> {
-        let bytes = self
-            .host_baseline
-            .take()
-            .expect("reset_to_baseline without an armed baseline");
-        let mut r = StateReader::new(&bytes);
-        r.open_section("bpu-front")?;
-        self.load_front_state(&mut r)?;
-        r.close_section()?;
-        self.host_baseline = Some(bytes);
-        self.pipeline.reset_to_baseline()
+        self.pipeline.load_state(r)?;
+        r.close_section()
     }
 
     /// Overrides the `Config::plan` gate in-process: `true` forces the
@@ -1296,59 +1236,5 @@ mod tests {
         bpu.resolve(a, cond_res(2, true, 0x8000), false);
         bpu.commit_front().unwrap();
         assert_eq!(bpu.stats().cond_branches, 2);
-    }
-
-    fn drive(bpu: &mut BranchPredictorUnit, pcs: std::ops::Range<u64>) {
-        for i in pcs {
-            let pc = 0x1000 + i * 0x40;
-            let id = bpu.query(pc).unwrap();
-            bpu.speculate(id, 1);
-            let pred = *bpu.prediction(id, 3).unwrap();
-            bpu.accept(id, pred);
-            bpu.resolve(id, cond_res(0, i % 3 == 0, pc + 0x200), true);
-            bpu.commit_front().unwrap();
-            bpu.tick();
-        }
-    }
-
-    fn snapshot(bpu: &BranchPredictorUnit) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        bpu.save_state(&mut w);
-        w.finish()
-    }
-
-    #[test]
-    fn baseline_reset_restores_full_unit_state() {
-        for d in [designs::tage_l(), designs::b2(), designs::tournament()] {
-            let mut bpu = build(&d);
-            drive(&mut bpu, 0..40);
-            let before = snapshot(&bpu);
-            bpu.arm_baseline();
-            assert!(bpu.baseline_armed());
-            drive(&mut bpu, 40..90);
-            assert_ne!(snapshot(&bpu), before, "driving must change state");
-            bpu.reset_to_baseline().unwrap();
-            assert_eq!(
-                snapshot(&bpu),
-                before,
-                "{}: dirty reset must be byte-identical to the armed state",
-                d.name
-            );
-            // The baseline stays armed: a second rerun resets again.
-            drive(&mut bpu, 90..120);
-            bpu.reset_to_baseline().unwrap();
-            assert_eq!(snapshot(&bpu), before);
-        }
-    }
-
-    #[test]
-    fn full_restore_disarms_baseline() {
-        let d = designs::b2();
-        let mut bpu = build(&d);
-        bpu.arm_baseline();
-        let bytes = snapshot(&bpu);
-        let mut r = StateReader::new(&bytes);
-        bpu.load_state(&mut r).unwrap();
-        assert!(!bpu.baseline_armed());
     }
 }

@@ -62,10 +62,6 @@ pub struct PredictorPipeline {
     plan_enabled: bool,
     /// Runtime sanitizer checks on (`Config::sanitize` at compile time).
     sanitize: bool,
-    /// Per-node fast-reset fallbacks: `None` once a node armed its own
-    /// baseline, `Some(bytes)` holding the node's full serialized state
-    /// otherwise. Empty when unarmed.
-    node_baselines: Vec<Option<Vec<u8>>>,
     /// Hot-path self-profiler (`Config::profile`): samples per-node predict
     /// and compose wall time on the plan path, 1 packet in 16. Renders its
     /// table to stderr on drop. `None` (the default) costs the packet path
@@ -166,7 +162,6 @@ impl PredictorPipeline {
             scratch: PlanScratch::default(),
             plan_enabled: config.plan,
             sanitize: config.sanitize,
-            node_baselines: Vec::new(),
             profiler,
         })
     }
@@ -693,74 +688,10 @@ impl PredictorPipeline {
     /// Returns a [`SnapError`] when a section name does not match this
     /// pipeline's node order or a component rejects its payload.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
-        // A full restore replaces component state wholesale; any armed
-        // baseline would describe state that no longer exists.
-        self.node_baselines.clear();
         for node in &mut self.nodes {
             r.open_section(&node.label)?;
             node.component.load_state(r)?;
             r.close_section()?;
-        }
-        Ok(())
-    }
-
-    /// Arms every component's current state as a fast-reset baseline.
-    ///
-    /// Components supporting dirty-state resets
-    /// ([`Component::arm_baseline`](crate::Component::arm_baseline)) arm
-    /// in place; the rest fall back to a one-time full serialization that
-    /// [`reset_to_baseline`](Self::reset_to_baseline) replays.
-    pub fn arm_baseline(&mut self) {
-        self.node_baselines = self
-            .nodes
-            .iter_mut()
-            .map(|node| {
-                if node.component.arm_baseline() {
-                    None
-                } else {
-                    let mut w = StateWriter::new();
-                    w.begin_section(&node.label);
-                    node.component.save_state(&mut w);
-                    w.end_section();
-                    Some(w.finish())
-                }
-            })
-            .collect();
-    }
-
-    /// `true` when [`arm_baseline`](Self::arm_baseline) has been called
-    /// (and no full restore has disarmed it since).
-    pub fn baseline_armed(&self) -> bool {
-        self.node_baselines.len() == self.nodes.len()
-    }
-
-    /// Restores every component to the armed baseline — dirty-state reset
-    /// where supported, full deserialize otherwise. The baseline stays
-    /// armed for the next rerun.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] if a fallback payload fails to decode
-    /// (impossible unless a component's save/load pair is asymmetric).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no baseline is armed.
-    pub fn reset_to_baseline(&mut self) -> Result<(), SnapError> {
-        assert!(
-            self.baseline_armed(),
-            "reset_to_baseline without an armed baseline"
-        );
-        for (node, fallback) in self.nodes.iter_mut().zip(&self.node_baselines) {
-            match fallback {
-                None => node.component.reset_baseline(),
-                Some(bytes) => {
-                    let mut r = StateReader::new(bytes);
-                    r.open_section(&node.label)?;
-                    node.component.load_state(&mut r)?;
-                    r.close_section()?;
-                }
-            }
         }
         Ok(())
     }

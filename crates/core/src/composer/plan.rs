@@ -234,16 +234,6 @@ impl ComponentKind {
         dispatch!(self, c => c.update(ev))
     }
 
-    /// See [`Component::arm_baseline`].
-    pub fn arm_baseline(&mut self) -> bool {
-        dispatch!(self, c => c.arm_baseline())
-    }
-
-    /// See [`Component::reset_baseline`].
-    pub fn reset_baseline(&mut self) {
-        dispatch!(self, c => c.reset_baseline())
-    }
-
     /// See [`Component::save_state`].
     pub fn save_state(&self, w: &mut StateWriter) {
         dispatch!(self, c => c.save_state(w))
@@ -321,12 +311,6 @@ impl Component for ComponentKind {
     }
     fn update(&mut self, ev: &UpdateEvent<'_>) {
         ComponentKind::update(self, ev)
-    }
-    fn arm_baseline(&mut self) -> bool {
-        ComponentKind::arm_baseline(self)
-    }
-    fn reset_baseline(&mut self) {
-        ComponentKind::reset_baseline(self)
     }
     fn save_state(&self, w: &mut StateWriter) {
         ComponentKind::save_state(self, w)

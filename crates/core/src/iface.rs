@@ -428,25 +428,6 @@ pub trait Component {
     /// Slow, commit-time update from committing branches.
     fn update(&mut self, _ev: &UpdateEvent<'_>) {}
 
-    /// Arms the component's current state as a fast-reset baseline,
-    /// returning `true` if the component supports dirty-state resets.
-    ///
-    /// Components backed by [`SramModel`](cobra_sim::SramModel) arm each
-    /// table (plus a snapshot of any scalar state) so that
-    /// [`reset_baseline`](Self::reset_baseline) restores predict-time
-    /// state by touching only rows mutated since arming. The default
-    /// returns `false`, and the composer falls back to a full
-    /// serialize/restore of the component via
-    /// [`save_state`](Self::save_state) — always correct, just slower.
-    fn arm_baseline(&mut self) -> bool {
-        false
-    }
-
-    /// Restores the state armed by [`arm_baseline`](Self::arm_baseline).
-    /// Only called after `arm_baseline` returned `true`; the baseline
-    /// stays armed for further resets.
-    fn reset_baseline(&mut self) {}
-
     /// Serializes the component's *complete* mutable state for a
     /// warm-state checkpoint (`.cbs`).
     ///

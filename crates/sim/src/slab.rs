@@ -43,20 +43,6 @@ pub struct TokenSlab<T> {
     /// One past the highest token ever inserted.
     hi: u64,
     len: usize,
-    /// Armed reference state for dirty-slot resets (`None` when unarmed).
-    baseline: Option<Box<SlabBaseline<T>>>,
-}
-
-/// The armed reference state of a [`TokenSlab`]: a copy of the slot ring
-/// plus the slots mutated since arming, so a reset touches only what
-/// changed (mirrors [`SramModel`](crate::SramModel) dirty-row resets).
-#[derive(Debug, Clone)]
-struct SlabBaseline<T> {
-    slots: Vec<(u64, Option<T>)>,
-    hi: u64,
-    len: usize,
-    dirty: Vec<u32>,
-    dirty_flag: Vec<bool>,
 }
 
 const EMPTY: u64 = u64::MAX;
@@ -78,17 +64,6 @@ impl<T> TokenSlab<T> {
             mask: n as u64 - 1,
             hi: 0,
             len: 0,
-            baseline: None,
-        }
-    }
-
-    #[inline]
-    fn mark_slot(&mut self, i: usize) {
-        if let Some(b) = &mut self.baseline {
-            if !b.dirty_flag[i] {
-                b.dirty_flag[i] = true;
-                b.dirty.push(i as u32);
-            }
         }
     }
 
@@ -122,7 +97,6 @@ impl<T> TokenSlab<T> {
     pub fn insert(&mut self, token: u64, value: T) -> Option<T> {
         debug_assert_ne!(token, EMPTY, "token reserved as the empty marker");
         let i = self.idx(token);
-        self.mark_slot(i);
         let capacity = self.slots.len();
         let slot = &mut self.slots[i];
         let old = if slot.0 == token { slot.1.take() } else { None };
@@ -155,7 +129,6 @@ impl<T> TokenSlab<T> {
     #[inline]
     pub fn get_mut(&mut self, token: u64) -> Option<&mut T> {
         let i = self.idx(token);
-        self.mark_slot(i);
         let slot = &mut self.slots[i];
         if slot.0 == token {
             slot.1.as_mut()
@@ -167,7 +140,6 @@ impl<T> TokenSlab<T> {
     /// Removes and returns the value under `token`, if live.
     pub fn remove(&mut self, token: u64) -> Option<T> {
         let i = self.idx(token);
-        self.mark_slot(i);
         let slot = &mut self.slots[i];
         if slot.0 == token {
             let v = slot.1.take();
@@ -188,7 +160,6 @@ impl<T> TokenSlab<T> {
         let start = (token + 1).max(self.hi.saturating_sub(self.slots.len() as u64));
         for t in start..self.hi {
             let i = self.idx(t);
-            self.mark_slot(i);
             let slot = &mut self.slots[i];
             if slot.0 == t && slot.1.take().is_some() {
                 slot.0 = EMPTY;
@@ -200,9 +171,6 @@ impl<T> TokenSlab<T> {
 
     /// Removes every live entry.
     pub fn clear(&mut self) {
-        for i in 0..self.slots.len() {
-            self.mark_slot(i);
-        }
         for slot in &mut self.slots {
             *slot = (EMPTY, None);
         }
@@ -243,9 +211,6 @@ impl<T> TokenSlab<T> {
         r: &mut StateReader<'_>,
         mut item: impl FnMut(&mut StateReader<'_>) -> Result<T, SnapError>,
     ) -> Result<(), SnapError> {
-        // A full restore replaces the slab contents wholesale; any armed
-        // baseline would describe state that no longer exists.
-        self.baseline = None;
         r.open_section("slab")?;
         let hi = r.read_u64("slab high-water mark")?;
         let len = r.read_u64_capped("slab entry count", self.capacity() as u64)? as usize;
@@ -267,60 +232,6 @@ impl<T> TokenSlab<T> {
         }
         self.hi = hi;
         r.close_section()
-    }
-}
-
-impl<T: Clone> TokenSlab<T> {
-    /// Arms the current contents as the reset baseline. Subsequent
-    /// mutations are tracked per slot, so
-    /// [`reset_to_baseline`](Self::reset_to_baseline) touches only what
-    /// changed.
-    ///
-    /// Re-arming replaces any previous baseline.
-    pub fn arm_baseline(&mut self) {
-        self.baseline = Some(Box::new(SlabBaseline {
-            slots: self.slots.clone(),
-            hi: self.hi,
-            len: self.len,
-            dirty: Vec::new(),
-            dirty_flag: vec![false; self.slots.len()],
-        }));
-    }
-
-    /// `true` when a baseline is armed.
-    pub fn baseline_armed(&self) -> bool {
-        self.baseline.is_some()
-    }
-
-    /// Slots mutated since the baseline was armed (0 when unarmed).
-    pub fn dirty_slots(&self) -> usize {
-        self.baseline.as_ref().map_or(0, |b| b.dirty.len())
-    }
-
-    /// Restores the armed baseline by copying back only the dirty slots.
-    /// The baseline stays armed for the next rerun.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no baseline is armed.
-    pub fn reset_to_baseline(&mut self) {
-        let b = self
-            .baseline
-            .as_mut()
-            .expect("reset_to_baseline without an armed baseline");
-        for &i in &b.dirty {
-            let i = i as usize;
-            self.slots[i] = b.slots[i].clone();
-            b.dirty_flag[i] = false;
-        }
-        b.dirty.clear();
-        self.hi = b.hi;
-        self.len = b.len;
-    }
-
-    /// Drops the armed baseline (if any), ending dirty tracking.
-    pub fn disarm_baseline(&mut self) {
-        self.baseline = None;
     }
 }
 
@@ -454,62 +365,16 @@ mod tests {
     }
 
     #[test]
-    fn baseline_reset_restores_only_dirty_slots() {
-        let mut s: TokenSlab<u64> = TokenSlab::new(8);
-        for t in 0..5 {
-            s.insert(t, t * 10);
-        }
-        s.arm_baseline();
-        assert_eq!(s.dirty_slots(), 0);
-
-        *s.get_mut(2).unwrap() = 999;
-        s.remove(4);
-        s.insert(5, 55);
-        s.truncate_above(3);
-        assert!(s.dirty_slots() > 0);
-        assert!(s.dirty_slots() < s.capacity());
-
-        s.reset_to_baseline();
-        assert_eq!(s.dirty_slots(), 0);
-        assert_eq!(s.len(), 5);
-        for t in 0..5 {
-            assert_eq!(s.get(t), Some(&(t * 10)), "token {t}");
-        }
-        assert_eq!(s.get(5), None);
-
-        // The baseline stays armed: a second mutate/reset cycle works.
-        s.clear();
-        s.reset_to_baseline();
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.get(0), Some(&0));
-    }
-
-    #[test]
-    fn baseline_reset_restores_high_water_mark() {
-        let mut s: TokenSlab<u64> = TokenSlab::new(4);
-        s.insert(6, 60);
-        s.arm_baseline();
-        s.insert(9, 90);
-        s.reset_to_baseline();
-        assert_eq!(s.get(9), None);
-        assert_eq!(s.get(6), Some(&60));
-        let toks: Vec<u64> = s.iter().map(|(t, _)| t).collect();
-        assert_eq!(toks, vec![6]);
-    }
-
-    #[test]
-    fn load_state_disarms_baseline() {
+    fn load_state_replaces_live_entries() {
         let mut s: TokenSlab<u64> = TokenSlab::new(4);
         s.insert(1, 11);
         let mut w = StateWriter::new();
         s.save_state(&mut w, |w, v| w.write_u64(*v));
         let bytes = w.finish();
 
-        s.arm_baseline();
         s.insert(2, 22);
         let mut r = StateReader::new(&bytes);
         s.load_state(&mut r, |r| r.read_u64("v")).unwrap();
-        assert!(!s.baseline_armed());
         assert_eq!(s.get(1), Some(&11));
         assert_eq!(s.get(2), None);
     }

@@ -136,29 +136,6 @@ pub struct SramModel<T> {
     /// gauge interval telemetry reports.
     touched_flag: Vec<bool>,
     rows_touched: u64,
-    /// Armed reference state for dirty-row resets (`None` when unarmed).
-    baseline: Option<Box<SramBaseline<T>>>,
-}
-
-/// The armed reference state of an [`SramModel`]: a full copy of the data
-/// array plus the accounting counters, and the set of rows written since
-/// arming. Resetting restores only the dirty rows, making a rerun from a
-/// warm state O(rows touched) instead of O(table size).
-#[derive(Debug, Clone)]
-struct SramBaseline<T> {
-    data: Vec<T>,
-    cycle: u64,
-    reads_this_cycle: Vec<u32>,
-    writes_this_cycle: Vec<u32>,
-    total_reads: u64,
-    total_writes: u64,
-    violations_len: usize,
-    /// The final pre-arm violation record, which `check_budget` may later
-    /// update in place (same cycle/bank key); restored verbatim on reset.
-    last_violation: Option<PortViolation>,
-    /// Rows written since arming, each recorded once.
-    dirty: Vec<u64>,
-    dirty_flag: Vec<bool>,
 }
 
 impl<T: Clone> SramModel<T> {
@@ -207,7 +184,6 @@ impl<T: Clone> SramModel<T> {
             violations: Vec::new(),
             touched_flag: vec![false; entries as usize],
             rows_touched: 0,
-            baseline: None,
         }
     }
 
@@ -299,7 +275,6 @@ impl<T: Clone> SramModel<T> {
         self.total_writes += 1;
         self.check_budget(bank);
         self.mark_touched(index);
-        self.mark_dirty(index);
         self.data[index as usize] = value;
     }
 
@@ -314,7 +289,6 @@ impl<T: Clone> SramModel<T> {
     /// paths that in hardware restore state held in pipeline registers.
     pub fn poke(&mut self, index: u64, value: T) {
         self.mark_touched(index);
-        self.mark_dirty(index);
         self.data[index as usize] = value;
     }
 
@@ -325,80 +299,6 @@ impl<T: Clone> SramModel<T> {
             *f = true;
             self.rows_touched += 1;
         }
-    }
-
-    #[inline]
-    fn mark_dirty(&mut self, index: u64) {
-        if let Some(b) = &mut self.baseline {
-            let flag = &mut b.dirty_flag[index as usize];
-            if !*flag {
-                *flag = true;
-                b.dirty.push(index);
-            }
-        }
-    }
-
-    /// Arms the current state as the reset baseline: the data array and
-    /// accounting counters are snapshotted once, and every subsequent
-    /// [`write`](Self::write) or [`poke`](Self::poke) records its row in a
-    /// dirty set. [`reset_to_baseline`](Self::reset_to_baseline) then
-    /// restores only the dirty rows. Re-arming replaces any prior baseline.
-    pub fn arm_baseline(&mut self) {
-        self.baseline = Some(Box::new(SramBaseline {
-            data: self.data.clone(),
-            cycle: self.cycle,
-            reads_this_cycle: self.reads_this_cycle.clone(),
-            writes_this_cycle: self.writes_this_cycle.clone(),
-            total_reads: self.total_reads,
-            total_writes: self.total_writes,
-            violations_len: self.violations.len(),
-            last_violation: self.violations.last().cloned(),
-            dirty: Vec::new(),
-            dirty_flag: vec![false; self.data.len()],
-        }));
-    }
-
-    /// `true` when a baseline is armed.
-    pub fn baseline_armed(&self) -> bool {
-        self.baseline.is_some()
-    }
-
-    /// Rows written since the baseline was armed (diagnostics / tests).
-    pub fn dirty_rows(&self) -> usize {
-        self.baseline.as_ref().map_or(0, |b| b.dirty.len())
-    }
-
-    /// Restores the armed baseline, touching only the rows written since
-    /// [`arm_baseline`](Self::arm_baseline): dirty rows are copied back,
-    /// accounting counters restored, and violations recorded since arming
-    /// discarded. The baseline stays armed for the next rerun.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no baseline is armed.
-    pub fn reset_to_baseline(&mut self) {
-        let b = self.baseline.as_mut().expect("no baseline armed");
-        for &row in &b.dirty {
-            self.data[row as usize] = b.data[row as usize].clone();
-            b.dirty_flag[row as usize] = false;
-        }
-        b.dirty.clear();
-        self.cycle = b.cycle;
-        self.reads_this_cycle.copy_from_slice(&b.reads_this_cycle);
-        self.writes_this_cycle.copy_from_slice(&b.writes_this_cycle);
-        self.total_reads = b.total_reads;
-        self.total_writes = b.total_writes;
-        self.violations.truncate(b.violations_len);
-        // `check_budget` updates the trailing record in place when a
-        // post-arm violation shares its (cycle, bank) key; restore it.
-        if let (Some(last), Some(snap)) = (self.violations.last_mut(), &b.last_violation) {
-            *last = snap.clone();
-        }
-    }
-
-    /// Drops any armed baseline, returning to plain (untracked) operation.
-    pub fn disarm_baseline(&mut self) {
-        self.baseline = None;
     }
 
     /// Port violations observed so far.
@@ -470,9 +370,7 @@ impl<T: Clone> SramModel<T> {
         r: &mut StateReader<'_>,
         mut cell: impl FnMut(&mut StateReader<'_>) -> Result<T, SnapError>,
     ) -> Result<(), SnapError> {
-        // A restore replaces the whole state; any armed baseline no longer
-        // describes it, and the touched-set gauge restarts.
-        self.baseline = None;
+        // A restore replaces the whole state; the touched-set gauge restarts.
         self.touched_flag.fill(false);
         self.rows_touched = 0;
         r.open_section("sram")?;
@@ -617,80 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_reset_restores_only_dirty_rows() {
-        let mut s = SramModel::new(64, 8, PortKind::DualPort, 0u32);
-        for i in 0..64 {
-            s.poke(i, i as u32 + 100);
-        }
-        s.begin_cycle(5);
-        let _ = *s.read(0);
-        s.arm_baseline();
-        assert_eq!(s.dirty_rows(), 0);
-        s.begin_cycle(6);
-        s.write(3, 999);
-        s.poke(7, 888);
-        let _ = *s.read(1);
-        assert_eq!(s.dirty_rows(), 2);
-        s.reset_to_baseline();
-        assert_eq!(*s.peek(3), 103);
-        assert_eq!(*s.peek(7), 107);
-        assert_eq!(s.access_counts(), (1, 0), "counters restored to arm point");
-        assert_eq!(s.dirty_rows(), 0);
-        // The baseline stays armed: a second mutate/reset round works.
-        s.write(9, 1);
-        s.reset_to_baseline();
-        assert_eq!(*s.peek(9), 109);
-    }
-
-    #[test]
-    fn baseline_reset_discards_post_arm_violations() {
-        let mut s = SramModel::new(8, 4, PortKind::DualPort, 0u32);
-        s.begin_cycle(1);
-        let _ = *s.read(0);
-        let _ = *s.read(1); // pre-arm violation
-        s.arm_baseline();
-        s.begin_cycle(2);
-        let _ = *s.read(0);
-        let _ = *s.read(1);
-        let _ = *s.read(2); // post-arm violation
-        assert_eq!(s.violations().len(), 2);
-        s.reset_to_baseline();
-        assert_eq!(s.violations().len(), 1);
-        assert_eq!(s.violations()[0].cycle, 1);
-        assert_eq!(s.violations()[0].reads, 2);
-    }
-
-    #[test]
-    fn baseline_survives_same_cycle_violation_update() {
-        // A post-arm access in the *same* cycle/bank as the pre-arm
-        // trailing violation mutates that record in place; reset must
-        // restore its original field values.
-        let mut s = SramModel::new(8, 4, PortKind::DualPort, 0u32);
-        s.begin_cycle(1);
-        let _ = *s.read(0);
-        let _ = *s.read(1); // violation: reads = 2
-        s.arm_baseline();
-        let _ = *s.read(2); // same cycle: record updated to reads = 3
-        assert_eq!(s.violations()[0].reads, 3);
-        s.reset_to_baseline();
-        assert_eq!(s.violations()[0].reads, 2);
-        assert_eq!(s.access_counts(), (2, 0));
-    }
-
-    #[test]
-    fn load_state_disarms_baseline() {
-        let mut s = SramModel::new(8, 4, PortKind::DualPort, 0u32);
-        let mut w = StateWriter::new();
-        s.save_state(&mut w, |w, &v| w.write_u64(u64::from(v)));
-        let bytes = w.finish();
-        s.arm_baseline();
-        let mut r = StateReader::new(&bytes);
-        s.load_state(&mut r, |r| Ok(r.read_u64("cell")? as u32))
-            .unwrap();
-        assert!(!s.baseline_armed());
-    }
-
-    #[test]
     fn rows_touched_counts_distinct_written_rows() {
         let mut s = SramModel::new(16, 4, PortKind::DualPort, 0u32);
         assert_eq!(s.rows_touched(), 0);
@@ -700,12 +524,7 @@ mod tests {
         s.poke(7, 9);
         let _ = *s.read(5); // reads do not touch
         assert_eq!(s.rows_touched(), 2);
-        // Dirty-baseline resets do not clear the touched gauge...
-        s.arm_baseline();
-        s.write(9, 1);
-        s.reset_to_baseline();
-        assert_eq!(s.rows_touched(), 3);
-        // ...but a full state restore does.
+        // A full state restore clears the gauge.
         let mut w = StateWriter::new();
         s.save_state(&mut w, |w, &v| w.write_u64(u64::from(v)));
         let bytes = w.finish();

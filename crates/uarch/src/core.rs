@@ -307,10 +307,6 @@ pub struct Core<S> {
     due_scratch: Vec<(PacketId, SlotResolution, Option<MispredictKind>, u64)>,
     uop_scratch: Vec<MicroOp>,
 
-    /// Serialized host state (everything but the BPU and the stream)
-    /// captured by [`arm_baseline`](Self::arm_baseline).
-    host_baseline: Option<Vec<u8>>,
-
     /// Interval telemetry engine, armed for the measured region of
     /// [`run_with_warmup`](Self::run_with_warmup). Boxed so the off case
     /// costs the run loop a single pointer-null check.
@@ -374,7 +370,6 @@ impl<S: InstructionStream> Core<S> {
             issue_scratch: Vec::new(),
             due_scratch: Vec::new(),
             uop_scratch: Vec::new(),
-            host_baseline: None,
             interval: None,
             interval_request: None,
             interval_series: None,
@@ -1309,15 +1304,6 @@ impl<S: InstructionStream> Core<S> {
     /// cycles).
     pub fn save_state(&self, w: &mut StateWriter) {
         w.begin_section("core");
-        self.save_host_state(w);
-        self.bpu.save_state(w);
-        w.end_section();
-    }
-
-    /// Everything [`save_state`](Self::save_state) writes *except* the
-    /// BPU: cycle, counters, frontend/backend queues, RAS, caches, and the
-    /// workload cursor.
-    fn save_host_state(&self, w: &mut StateWriter) {
         w.write_u64(self.cycle);
         self.counters.save_state(w);
         w.write_u64(self.fetch_pc);
@@ -1359,6 +1345,8 @@ impl<S: InstructionStream> Core<S> {
         }
         self.ras.save_state(w);
         self.mem.save_state(w);
+        self.bpu.save_state(w);
+        w.end_section();
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into a
@@ -1381,13 +1369,6 @@ impl<S: InstructionStream> Core<S> {
     /// error the core may be partially overwritten and must be discarded.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
         r.open_section("core")?;
-        self.host_baseline = None;
-        self.load_host_state(r)?;
-        self.bpu.load_state(r)?;
-        r.close_section()
-    }
-
-    fn load_host_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
         self.cycle = r.read_u64("core cycle")?;
         self.counters = PerfCounters::load_state(r)?;
         self.fetch_pc = r.read_u64("core fetch pc")?;
@@ -1440,7 +1421,8 @@ impl<S: InstructionStream> Core<S> {
         }
         self.ras.load_state(r)?;
         self.mem.load_state(r)?;
-        Ok(())
+        self.bpu.load_state(r)?;
+        r.close_section()
     }
 
     /// Moves the consumed-instruction cursor forward to `reads`: through
@@ -1467,58 +1449,6 @@ impl<S: InstructionStream> Core<S> {
         }
         self.stream_reads = reads;
         Ok(())
-    }
-
-    /// Arms a fast-reset baseline at the current state. Host state (queues,
-    /// counters, caches — all small relative to predictor tables) is
-    /// serialized to an in-memory buffer; the BPU arms dirty-row SRAM
-    /// tracking so [`reset_to_baseline`](Self::reset_to_baseline) rewrites
-    /// only rows mutated since arming.
-    pub fn arm_baseline(&mut self) {
-        let mut w = StateWriter::new();
-        w.begin_section("core-host");
-        self.save_host_state(&mut w);
-        w.end_section();
-        self.host_baseline = Some(w.finish());
-        self.bpu.arm_baseline();
-    }
-
-    /// `true` when [`arm_baseline`](Self::arm_baseline) has been called and
-    /// no full [`load_state`](Self::load_state) has disarmed it since.
-    pub fn baseline_armed(&self) -> bool {
-        self.host_baseline.is_some() && self.bpu.baseline_armed()
-    }
-
-    /// Restores the core to the armed baseline for a rerun. `fresh_stream`
-    /// must be a freshly-built instance of the same deterministic workload;
-    /// it replaces the core's stream (and drops its read-ahead), and is
-    /// moved from instruction zero to the baseline's recorded read count,
-    /// exactly as [`load_state`](Self::load_state) moves a fresh core's.
-    /// The baseline stays armed for the next rerun.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] if the baseline payload fails to decode
-    /// (impossible unless a save/load pair is asymmetric).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no baseline is armed.
-    pub fn reset_to_baseline(&mut self, fresh_stream: S) -> Result<(), SnapError> {
-        let bytes = self
-            .host_baseline
-            .take()
-            .expect("reset_to_baseline without an armed baseline");
-        self.stream = fresh_stream;
-        self.stream_reads = 0;
-        self.inst_buf.clear();
-        self.inst_pos = 0;
-        let mut r = StateReader::new(&bytes);
-        r.open_section("core-host")?;
-        self.load_host_state(&mut r)?;
-        r.close_section()?;
-        self.host_baseline = Some(bytes);
-        self.bpu.reset_to_baseline()
     }
 }
 
