@@ -23,9 +23,9 @@
 //! warm-state checkpoints so sampled runs restore exact state. `run`
 //! evaluates one (design, workload) pair under a plan; `--selfcheck`
 //! also runs the exact full simulation and prints the estimation error.
-//! `check` gates sampled estimates for a whole grid against committed
-//! golden full-run values — the CI leg that keeps the documented error
-//! bound honest.
+//! `check` gates sampled estimates against committed golden full-run
+//! values — every golden cell, or only the workloads and `--designs`
+//! named — the CI leg that keeps the documented error bound honest.
 //!
 //! Exit status follows the README's command-line conventions; 1 means
 //! the command failed (for `check`: a cell is outside the bound).
@@ -57,7 +57,8 @@ Commands:
   plan    cluster .cbm interval telemetry into sampling plans
   ckpt    capture per-slice warm-state checkpoints for existing plans
   run     evaluate one design on one workload under a plan
-  check   gate sampled estimates against golden full-run values
+  check   gate sampled estimates against golden full-run values: the
+          named workloads and --designs, or every golden cell
 
 Common options:
   --all            every SPECint17 profile
@@ -99,6 +100,9 @@ struct Options {
     out: Option<PathBuf>,
     selfcheck: bool,
     golden: PathBuf,
+    /// The golden cells `check` gates (see [`select_cells`]); an
+    /// unreadable golden file is reported when `check` runs.
+    cells: Result<Vec<GoldenCell>, String>,
     bound: f64,
     report: Option<PathBuf>,
     bless: bool,
@@ -123,6 +127,7 @@ fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
         out: None,
         selfcheck: false,
         golden: PathBuf::from("tests/golden/fig10_full.jsonl"),
+        cells: Ok(Vec::new()),
         bound: 2.0,
         report: None,
         bless: false,
@@ -173,7 +178,38 @@ fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
         })
         .collect::<Result<_, _>>()?;
     o.designs = cli::designs(design_names.as_deref())?;
+    if o.command == "check" && !o.bless {
+        let named = !o.workloads.is_empty() || design_names.is_some();
+        let mut cells = read_golden(&o.golden);
+        match &mut cells {
+            Ok(golden) if named => select_cells(&o, golden)?,
+            _ => {}
+        }
+        o.cells = cells;
+    }
     Ok(o)
+}
+
+/// Keeps the golden cells of the selected designs on the workloads named
+/// on argv (on every workload when only `--designs` is given). A named
+/// workload with no golden row for a selected design is a usage error.
+fn select_cells(o: &Options, golden: &mut Vec<GoldenCell>) -> Result<(), Stop> {
+    golden.retain(|c| {
+        o.designs.iter().any(|d| d.name == c.design)
+            && (o.workloads.is_empty() || o.workloads.iter().any(|(_, s)| s.name == c.workload))
+    });
+    for d in &o.designs {
+        for (_, s) in &o.workloads {
+            if !golden
+                .iter()
+                .any(|c| c.design == d.name && c.workload == s.name)
+            {
+                let path = o.golden.display();
+                return Err(format!("no golden row for {}/{} in {path}", d.name, s.name).into());
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The workloads a plans directory holds plans for, sorted.
@@ -469,12 +505,12 @@ fn cmd_check(o: &Options) -> Result<bool, String> {
         cmd_bless(o)?;
         return Ok(true);
     }
-    let golden = read_golden(&o.golden)?;
+    let golden = o.cells.as_ref().map_err(String::clone)?;
     if golden.is_empty() {
         return Err(format!("{}: no golden cells", o.golden.display()));
     }
     let insts = config::get().insts;
-    for c in &golden {
+    for c in golden {
         if c.insts != insts {
             return Err(format!(
                 "golden cell {}/{} was blessed at {} insts but COBRA_INSTS={insts} \
@@ -485,7 +521,7 @@ fn cmd_check(o: &Options) -> Result<bool, String> {
     }
     let all = designs::all();
     let mut jobs = Vec::new();
-    for c in &golden {
+    for c in golden {
         let d = all
             .iter()
             .find(|d| d.name == c.design)

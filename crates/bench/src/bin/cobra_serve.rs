@@ -16,11 +16,11 @@
 //! #   byte-identical baseline the CI smoke leg diffs served output against
 //! ```
 //!
-//! The wire protocol is specified in `docs/SERVE_PROTOCOL.md`; the
-//! environment knobs (`COBRA_SERVE_CACHE`, `COBRA_SERVE_QUEUE`,
-//! `COBRA_SERVE_PROGRESS`, `COBRA_SERVE_INSTS_CAP`, and the shared
-//! `COBRA_THREADS` / `COBRA_INSTS` / `COBRA_METRICS`) in
-//! `docs/CONFIG.md`. CLI flags override the environment.
+//! The wire protocol is specified in `docs/SERVE_PROTOCOL.md`. The
+//! daemon's settings are the flags below; the shared `COBRA_THREADS`,
+//! `COBRA_INSTS` and `COBRA_METRICS` knobs (`docs/CONFIG.md`) give the
+//! defaults of `--threads` and `--insts` and the file the bench client
+//! mirrors its run records into.
 //!
 //! On SIGTERM or SIGINT the daemon drains: it stops admitting, finishes
 //! every queued job, flushes each connection, and exits.
@@ -36,11 +36,12 @@ use std::time::Duration;
 
 use cobra_bench::cli::{self, Stop};
 use cobra_bench::jsonv::{self, Json};
-use cobra_bench::serve::client::Client;
+use cobra_bench::runner::{self, RunRecord};
 use cobra_bench::serve::exec::execute_job;
 use cobra_bench::serve::protocol::{self, JobTarget};
 use cobra_bench::serve::server::{Listen, ServeConfig, Server};
-use cobra_bench::{runner, workload_by_name};
+use cobra_bench::serve::{self, client::Client};
+use cobra_bench::workload_by_name;
 use cobra_core::designs;
 use cobra_uarch::CoreConfig;
 use cobra_workloads::SPEC17_NAMES;
@@ -55,13 +56,11 @@ caching warm state across jobs.
 
   --listen EP           tcp:HOST:PORT or unix:PATH [tcp:127.0.0.1:7040]
   --threads N           worker pool size [COBRA_THREADS]
-  --queue N             admission-queue bound [COBRA_SERVE_QUEUE, 64]
-  --cache DIR           warm-cache root; `off` disables
-                        [COBRA_SERVE_CACHE, serve-cache]
-  --insts-cap N         largest accepted per-job insts
-                        [COBRA_SERVE_INSTS_CAP, 5000000]
+  --queue N             admission-queue bound [64]
+  --cache DIR           warm-cache root; `off` disables [serve-cache]
+  --insts-cap N         largest accepted per-job insts [5000000]
   --progress N          progress-event stride in committed insts; 0
-                        disables [COBRA_SERVE_PROGRESS, insts/4]
+                        disables [insts/4]
 
 Client modes:
   --bench-client        drive the fig. 10 grid (all designs x SPECint17)
@@ -93,17 +92,17 @@ struct Options {
     shutdown: bool,
 }
 
-/// Parses `args` over the environment knobs: each flag overrides the
-/// config field it duplicates.
+/// Parses `args`; `--threads` and `--insts` override the config fields
+/// they duplicate.
 fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
     let config = cobra_core::config::get();
     let mut o = Options {
         listen: Listen::parse(DEFAULT_LISTEN).expect("default listen endpoint parses"),
         threads: config.threads,
-        queue_cap: config.serve_queue,
-        cache_dir: config.serve_cache.clone(),
-        insts_cap: config.serve_insts_cap,
-        progress: config.serve_progress,
+        queue_cap: serve::DEFAULT_QUEUE_CAP,
+        cache_dir: Some(PathBuf::from(serve::DEFAULT_CACHE_DIR)),
+        insts_cap: serve::DEFAULT_INSTS_CAP,
+        progress: None,
         bench_client: false,
         direct: false,
         connections: 2,
@@ -124,7 +123,7 @@ fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
                     Some(PathBuf::from(v))
                 };
             }
-            "--insts-cap" => o.insts_cap = args.parse()?,
+            "--insts-cap" => o.insts_cap = args.parse::<u64>()?.max(1),
             "--progress" => o.progress = Some(args.parse()?),
             "--bench-client" => o.bench_client = true,
             "--direct" => o.direct = true,
@@ -363,15 +362,12 @@ fn run_client(o: &Options) -> Result<(), String> {
                 .ok_or_else(|| format!("no result for grid cell {i} ({:?})", grid[i]))?;
             println!("{}", c.report_bytes);
             *counts.entry(c.cache.clone()).or_insert(0u64) += 1;
-            let job = runner::JobResult {
-                report: c.report.clone(),
-                wall: Duration::from_secs_f64(c.wall_s),
-                trace: None,
-                checkpoint: None,
-                metrics: None,
-                sampled: None,
+            let job = RunRecord {
                 served: Some(listen_desc.clone()),
                 cache: Some(c.cache.clone()),
+                // The client cannot know the daemon's packet path.
+                packet_path: None,
+                ..RunRecord::new(c.report.clone(), Duration::from_secs_f64(c.wall_s))
             };
             eprintln!(
                 "[serve-client] {} {:<28} {:>7.2}s{}",
@@ -380,7 +376,7 @@ fn run_client(o: &Options) -> Result<(), String> {
                 c.wall_s,
                 job.provenance_note()
             );
-            metrics_lines.push(runner::metrics_record(&runner::job_id(i), &job));
+            metrics_lines.push(job.metrics_record(&runner::job_id(i)));
             if o.expect_cache.as_deref().is_some_and(|e| e != c.cache) {
                 eprintln!(
                     "[serve-client] {} expected cache={} but got {}",

@@ -25,7 +25,8 @@
 //! `--selfcheck` found a violation.
 
 use cobra_bench::cli::{self, Stop};
-use cobra_bench::{jsonv, runner, KERNEL_NAMES};
+use cobra_bench::runner::{self, RunRecord};
+use cobra_bench::{jsonv, KERNEL_NAMES};
 use cobra_core::composer::Design;
 use cobra_core::designs;
 use cobra_core::obs::trace::{TraceFormat, TraceSink};
@@ -489,17 +490,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &o.metrics {
-        let result = runner::JobResult {
-            report: report.clone(),
-            wall,
-            trace: None,
-            checkpoint: None,
-            metrics: None,
-            sampled: None,
-            served: None,
-            cache: None,
-        };
-        let line = runner::metrics_record("cobra-trace", &result);
+        let line = RunRecord::new(report.clone(), wall).metrics_record("cobra-trace");
         if let Err(e) = runner::write_metrics(path.as_ref(), std::slice::from_ref(&line)) {
             eprintln!("cobra-trace: warning: could not write --metrics {path:?}: {e}");
         }

@@ -2,10 +2,9 @@
 //! SPECint17 suite, with the commercial-core reference points.
 
 use cobra_bench::reference;
-use cobra_bench::runner::{run_grid, write_grid_summary, Job};
+use cobra_bench::runner::{run_grid, Job};
 use cobra_uarch::{harmonic_mean, CoreConfig, PerfReport};
 use cobra_workloads::{spec17, ProgramSpec};
-use std::time::Instant;
 
 fn main() {
     let all_designs = cobra_core::designs::all();
@@ -22,15 +21,7 @@ fn main() {
                 .map(move |s| Job::new(d, CoreConfig::boom_4wide(), s))
         })
         .collect();
-    let started = Instant::now();
     let grid = run_grid(&jobs);
-    let grid_wall = started.elapsed();
-    // Machine-readable companion to the stdout tables (stderr notes the
-    // path): wall, MIPS, packet-path mode, and thread count per run.
-    let config = cobra_core::config::get();
-    if let Some(path) = &config.grid_json {
-        write_grid_summary(path, &grid, config.threads, grid_wall);
-    }
     let results: Vec<Vec<PerfReport>> = grid
         .chunks(specs.len())
         .map(|row| row.iter().map(|r| r.report.clone()).collect())

@@ -80,7 +80,9 @@ use cobra_core::config::Config;
 use cobra_core::obs::interval::IntervalSeries;
 use cobra_uarch::{restore_checkpoint, CbsMeta, Core, CoreConfig, InstructionStream, PerfReport};
 use cobra_workloads::{ProgramSpec, TraceProgram};
+use runner::RunRecord;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// The named synthetic kernels [`workload_by_name`] resolves besides the
 /// SPECint17 profiles — what `cobra-capture --list` prints and
@@ -125,47 +127,7 @@ pub fn workload_by_name(name: &str) -> Option<ProgramSpec> {
 /// Panics if the design fails to compose — harness binaries treat that as
 /// a fatal configuration error.
 pub fn run_one(design: &Design, cfg: CoreConfig, spec: &ProgramSpec) -> PerfReport {
-    run_one_tagged(design, cfg, spec, None)
-}
-
-/// [`run_one`] with a job tag substituted into any `COBRA_TRACE`-attached
-/// tracer's output path, so concurrent grid jobs write to distinct,
-/// deterministic files (the tag encodes the grid index, not the thread).
-///
-/// # Panics
-///
-/// Panics if the design fails to compose — harness binaries treat that as
-/// a fatal configuration error.
-pub fn run_one_tagged(
-    design: &Design,
-    cfg: CoreConfig,
-    spec: &ProgramSpec,
-    tag: Option<&str>,
-) -> PerfReport {
-    run_one_sourced(design, cfg, spec, tag).report
-}
-
-/// The outcome of one simulation, with its workload provenance.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// The measured-region performance report.
-    pub report: PerfReport,
-    /// The `.cbt` file replayed, when the run was trace-driven
-    /// (`COBRA_TRACE_DIR`); `None` for execution-driven runs.
-    pub trace: Option<PathBuf>,
-    /// The `.cbs` file restored, when the run skipped its warm-up via a
-    /// warm-state checkpoint (`COBRA_CKPT_DIR`); `None` for runs that
-    /// warmed up from scratch.
-    pub checkpoint: Option<PathBuf>,
-    /// The `.cbm` interval-telemetry file written, when `COBRA_INTERVAL`
-    /// armed the engine; `None` for untelemetered runs.
-    pub metrics: Option<PathBuf>,
-    /// `"<mode>:<plan path>"` when the run was *estimated* under a
-    /// sampling plan (`COBRA_SAMPLE_DIR`), where mode is `ckpt` or
-    /// `cold` ([`sampling::SampleMode`]); `None` for exact full runs. A
-    /// sampled outcome's report carries estimated counters — see
-    /// [`sampling`] and `docs/SAMPLING.md`.
-    pub sampled: Option<String>,
+    run_one_sourced(design, cfg, spec, None).report
 }
 
 /// The file name an interval-telemetry stream of `design` on `workload`
@@ -188,10 +150,15 @@ fn existing_file(dir: Option<&Path>, name: &str) -> Option<PathBuf> {
     path.is_file().then_some(path)
 }
 
-/// Like [`run_one_tagged`], but reporting whether the run replayed a
-/// captured trace: with `COBRA_TRACE_DIR` set and a `<workload>.cbt`
-/// present, the core consumes the replayed [`TraceProgram`] instead of a
-/// freshly generated stream. Capture preserves both halves of the
+/// Like [`run_one`], but returning the whole [`RunRecord`]: the report,
+/// the run's wall time and its provenance. `tag` is substituted into any
+/// `COBRA_TRACE`-attached tracer's output path, so concurrent grid jobs
+/// write to distinct, deterministic files (the tag encodes the grid
+/// index, not the thread).
+///
+/// With `COBRA_TRACE_DIR` set and a `<workload>.cbt` present, the core
+/// consumes the replayed [`TraceProgram`] instead of a freshly generated
+/// stream. Capture preserves both halves of the
 /// workload interface (dynamic records and the static-decode image), so
 /// the resulting [`PerfReport`] is byte-identical either way — workloads
 /// without a captured trace quietly stay execution-driven, which keeps
@@ -207,7 +174,8 @@ pub fn run_one_sourced(
     cfg: CoreConfig,
     spec: &ProgramSpec,
     tag: Option<&str>,
-) -> RunOutcome {
+) -> RunRecord {
+    let started = Instant::now();
     let config = cobra_core::config::get();
     let measure = config.insts;
     let warmup = measure * 2 / 5;
@@ -226,12 +194,9 @@ pub fn run_one_sourced(
         );
         let outcome = sampling::run_sampled(design, cfg, spec, &plan, sample_dir)
             .unwrap_or_else(|e| panic!("COBRA_SAMPLE_DIR sampled run: {e}"));
-        return RunOutcome {
-            report: outcome.report,
-            trace: None,
-            checkpoint: None,
-            metrics: None,
+        return RunRecord {
             sampled: Some(format!("{}:{}", outcome.mode.as_str(), plan_path.display())),
+            ..RunRecord::new(outcome.report, started.elapsed())
         };
     }
     let trace_name = format!("{}.cbt", spec.name);
@@ -247,16 +212,21 @@ pub fn run_one_sourced(
                     spec.name
                 );
             }
-            run_core(design, cfg, spec, tag, &config, program, Some(path))
+            let record = run_core(design, cfg, spec, tag, &config, program, started);
+            RunRecord {
+                trace: Some(path),
+                ..record
+            }
         }
-        None => run_core(design, cfg, spec, tag, &config, spec.build(), None),
+        None => run_core(design, cfg, spec, tag, &config, spec.build(), started),
     }
 }
 
 /// The run [`run_one_sourced`] makes over either stream source: build
 /// the core, retarget its tracer to `tag`, restore any `COBRA_CKPT_DIR`
 /// checkpoint, install the heartbeat, run warm-up plus the measured
-/// region, and write any interval telemetry.
+/// region, and write any interval telemetry. The record's wall time runs
+/// from `started`.
 fn run_core<S: InstructionStream>(
     design: &Design,
     cfg: CoreConfig,
@@ -264,8 +234,8 @@ fn run_core<S: InstructionStream>(
     tag: Option<&str>,
     config: &Config,
     stream: S,
-    trace: Option<PathBuf>,
-) -> RunOutcome {
+    started: Instant,
+) -> RunRecord {
     let measure = config.insts;
     let warmup = measure * 2 / 5;
     let mut core = Core::new(design, cfg, stream).expect("stock designs always compose");
@@ -290,12 +260,10 @@ fn run_core<S: InstructionStream>(
             &config.interval_dir,
         )
     });
-    RunOutcome {
-        report,
-        trace,
+    RunRecord {
         checkpoint,
         metrics,
-        sampled: None,
+        ..RunRecord::new(report, started.elapsed())
     }
 }
 

@@ -9,8 +9,8 @@
 //!   using [`std::thread::scope`] plus an atomic work-queue index (no
 //!   external dependencies);
 //! * [`run_grid`] — the simulation-shaped convenience: a slice of
-//!   [`Job`]s in, a [`JobResult`] per job out (same order), each with the
-//!   [`PerfReport`], its wall-clock time, and simulated MIPS.
+//!   [`Job`]s in, a [`RunRecord`] per job out (same order), each with the
+//!   [`PerfReport`], its wall-clock time, and its provenance.
 //!
 //! Thread count comes from the `COBRA_THREADS` environment variable
 //! (default: available hardware parallelism). Results are returned in job
@@ -24,15 +24,16 @@
 //! diffing against `results/`. Each stderr progress line carries the
 //! job's stable grid id (`job07`), which is also the tag substituted into
 //! any `COBRA_TRACE` template so concurrent jobs trace to distinct files.
-//! Setting `COBRA_METRICS=<path>` additionally appends one JSONL record
-//! per job (same id, in job order) once the grid completes.
+//! Setting `COBRA_METRICS=<path>` additionally appends each job's
+//! [`RunRecord::metrics_record`] (same id, in job order) once the grid
+//! completes.
 
 use crate::{jsonv, run_one_sourced};
 use cobra_core::composer::Design;
 use cobra_uarch::{CoreConfig, PerfReport};
 use cobra_workloads::ProgramSpec;
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -115,48 +116,67 @@ impl<'a> Job<'a> {
     }
 }
 
-/// The outcome of one grid job.
+/// One run and where it came from: the one record behind every run
+/// channel — the `[runner]` stderr line, the `COBRA_METRICS` JSONL
+/// record, the `cobra-serve --bench-client` mirror and `cobra-trace
+/// --metrics`. Every provenance field is `None` on the default path
+/// (execution-driven, warmed up from scratch, untelemetered, exact,
+/// in-process, compiled plan) and is rendered only when set.
 #[derive(Debug, Clone)]
-pub struct JobResult {
+pub struct RunRecord {
     /// The measured-region performance report.
     pub report: PerfReport,
-    /// Wall-clock time of the whole job (warm-up + measured region).
+    /// Wall-clock time of the whole run (warm-up + measured region).
     pub wall: Duration,
-    /// The `.cbt` file replayed when the job ran trace-driven
-    /// (`COBRA_TRACE_DIR`); `None` for execution-driven jobs. Carried so
-    /// both the stderr progress line and the `COBRA_METRICS` record can
-    /// say which jobs replayed a trace.
-    pub trace: Option<std::path::PathBuf>,
-    /// The `.cbs` file restored when the job skipped its warm-up via a
-    /// warm-state checkpoint (`COBRA_CKPT_DIR`); `None` for jobs that
-    /// warmed up from scratch. Carried for the same reporting surfaces
-    /// as `trace`.
-    pub checkpoint: Option<std::path::PathBuf>,
-    /// The `.cbm` interval-telemetry file the job wrote when
-    /// `COBRA_INTERVAL` armed the engine (`None` otherwise). Carried for
-    /// the same reporting surfaces as `trace`.
-    pub metrics: Option<std::path::PathBuf>,
-    /// `"<mode>:<plan path>"` when the job was *estimated* under a
-    /// sampling plan (`COBRA_SAMPLE_DIR`, mode `ckpt` or `cold`);
-    /// `None` for exact runs. Sampled reports carry estimated counters
-    /// — the provenance matters when mining the metrics stream, so it
-    /// rides on the same surfaces as `trace`.
+    /// The `.cbt` file replayed, when the run was trace-driven
+    /// (`COBRA_TRACE_DIR`).
+    pub trace: Option<PathBuf>,
+    /// The `.cbs` file restored, when the run skipped its warm-up via a
+    /// warm-state checkpoint (`COBRA_CKPT_DIR`).
+    pub checkpoint: Option<PathBuf>,
+    /// The `.cbm` interval-telemetry file written, when `COBRA_INTERVAL`
+    /// armed the engine.
+    pub metrics: Option<PathBuf>,
+    /// `"<mode>:<plan path>"` when the run was *estimated* under a
+    /// sampling plan (`COBRA_SAMPLE_DIR`), where mode is `ckpt` or
+    /// `cold` ([`crate::sampling::SampleMode`]); its report carries
+    /// estimated counters (`docs/SAMPLING.md`).
     pub sampled: Option<String>,
-    /// The `cobra-serve` endpoint that produced this report when the job
-    /// was served rather than simulated in-process (`None` for direct
-    /// runs). Carried so cobra-report can attribute wall-time wins to
-    /// the daemon.
+    /// The `cobra-serve` endpoint that produced the report, when the run
+    /// was served rather than simulated in-process.
     pub served: Option<String>,
     /// How the serving daemon satisfied the job: `"hit"` (tier-1 result
     /// cache), `"warm"` (tier-2 checkpoint restore), or `"miss"` (full
-    /// simulation). `None` for direct runs.
+    /// simulation).
     pub cache: Option<String>,
+    /// `"interpreter"` when the run's pipelines took the reference
+    /// interpreter fold (`COBRA_PLAN=off`) instead of the compiled plan.
+    /// A served record leaves it `None`: the client cannot know the
+    /// daemon's setting.
+    pub packet_path: Option<&'static str>,
 }
 
-impl JobResult {
+impl RunRecord {
+    /// The record of an in-process run: `report` measured over `wall`,
+    /// with the packet path of the process config (which the run's
+    /// pipelines compiled from) and no other provenance.
+    pub fn new(report: PerfReport, wall: Duration) -> Self {
+        Self {
+            report,
+            wall,
+            trace: None,
+            checkpoint: None,
+            metrics: None,
+            sampled: None,
+            served: None,
+            cache: None,
+            packet_path: (!cobra_core::config::get().plan).then_some("interpreter"),
+        }
+    }
+
     /// Simulated millions of instructions per wall-clock second, counting
     /// the measured region's committed instructions against the whole
-    /// job's wall time (warm-up included) — a conservative throughput
+    /// run's wall time (warm-up included) — a conservative throughput
     /// figure for capacity planning.
     pub fn mips(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
@@ -166,70 +186,90 @@ impl JobResult {
         self.report.counters.committed_insts as f64 / secs / 1e6
     }
 
+    /// The provenance rows in record order: JSON key, stderr key, value.
+    /// Both renderers read these rows, so a field added here shows up on
+    /// both channels.
+    fn provenance(&self) -> [(&'static str, &'static str, Option<String>); 7] {
+        let path = |p: &Option<PathBuf>| p.as_ref().map(|p| p.display().to_string());
+        [
+            ("trace", "trace", path(&self.trace)),
+            ("checkpoint", "ckpt", path(&self.checkpoint)),
+            ("metrics", "cbm", path(&self.metrics)),
+            ("sampled", "sampled", self.sampled.clone()),
+            ("served", "served", self.served.clone()),
+            ("cache", "cache", self.cache.clone()),
+            (
+                "packet_path",
+                "packet_path",
+                self.packet_path.map(String::from),
+            ),
+        ]
+    }
+
     /// The provenance suffix of a stderr progress line (` trace=…`,
-    /// ` ckpt=…`, ` cbm=…`, ` served=…`, ` cache=…`); empty for a plain
-    /// execution-driven job. Shared between [`run_grid_on`] and the
-    /// `cobra-serve` bench client so served and direct logs read alike.
+    /// ` ckpt=…`, ` cbm=…`, …); empty on the default path.
     pub fn provenance_note(&self) -> String {
         let mut note = String::new();
-        if let Some(p) = &self.trace {
-            note.push_str(&format!(" trace={}", p.display()));
-        }
-        if let Some(p) = &self.checkpoint {
-            note.push_str(&format!(" ckpt={}", p.display()));
-        }
-        if let Some(p) = &self.metrics {
-            note.push_str(&format!(" cbm={}", p.display()));
-        }
-        if let Some(p) = &self.sampled {
-            note.push_str(&format!(" sampled={p}"));
-        }
-        if let Some(s) = &self.served {
-            note.push_str(&format!(" served={s}"));
-        }
-        if let Some(c) = &self.cache {
-            note.push_str(&format!(" cache={c}"));
+        for (_, key, value) in self.provenance() {
+            if let Some(v) = value {
+                note.push_str(&format!(" {key}={v}"));
+            }
         }
         note
+    }
+
+    /// The record as one `COBRA_METRICS` JSONL line: job id, design,
+    /// workload, wall seconds, MIPS, IPC, MPKI, accuracy, instruction,
+    /// cycle and miss counts, then the provenance fields that are set.
+    pub fn metrics_record(&self, job_id: &str) -> String {
+        let c = &self.report.counters;
+        let mut provenance = String::new();
+        for (key, _, value) in self.provenance() {
+            if let Some(v) = value {
+                provenance.push_str(&format!(",\"{key}\":{}", jsonv::escape(&v)));
+            }
+        }
+        format!(
+            "{{\"job\":{},\"design\":{},\"workload\":{},\"wall_s\":{:.6},\"mips\":{:.3},\
+             \"ipc\":{:.4},\"mpki\":{:.4},\"acc\":{:.4},\"insts\":{},\"cycles\":{},\
+             \"branch_misses\":{}{provenance}}}",
+            jsonv::escape(job_id),
+            jsonv::escape(&self.report.design),
+            jsonv::escape(&self.report.workload),
+            self.wall.as_secs_f64(),
+            self.mips(),
+            c.ipc(),
+            c.mpki(),
+            c.branch_accuracy(),
+            c.committed_insts,
+            c.cycles,
+            c.branch_misses()
+        )
     }
 }
 
 /// Runs `jobs` on `threads` worker threads. Results come back in job
 /// order; each row is bit-identical to what a serial loop over
 /// [`run_one`](crate::run_one) would produce.
-pub fn run_grid_on(threads: usize, jobs: &[Job<'_>]) -> Vec<JobResult> {
+pub fn run_grid_on(threads: usize, jobs: &[Job<'_>]) -> Vec<RunRecord> {
     let total = jobs.len();
     let started = Instant::now();
     let done = AtomicUsize::new(0);
     let results = parallel_map_on(threads, jobs, |i, job| {
         let tag = job_id(i);
-        let t = Instant::now();
-        let outcome = run_one_sourced(
+        let r = run_one_sourced(
             job.design,
             job.cfg,
             job.spec,
             Some(&format!("{tag}-{}-{}", job.design.name, job.spec.name)),
         );
-        let r = JobResult {
-            report: outcome.report,
-            wall: t.elapsed(),
-            trace: outcome.trace,
-            checkpoint: outcome.checkpoint,
-            metrics: outcome.metrics,
-            sampled: outcome.sampled,
-            served: None,
-            cache: None,
-        };
         let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-        // Replayed / restored / served jobs carry their provenance so
-        // trace-driven and warmup-skipping grid runs are distinguishable
-        // from plain execution-driven ones in the logs.
-        let note = r.provenance_note();
         eprintln!(
-            "[runner] {n}/{total} {tag} {:<28} {:>7.2}s {:>7.2} MIPS{note}",
+            "[runner] {n}/{total} {tag} {:<28} {:>7.2}s {:>7.2} MIPS{}",
             job.label(),
             r.wall.as_secs_f64(),
-            r.mips()
+            r.mips(),
+            r.provenance_note()
         );
         r
     });
@@ -237,7 +277,7 @@ pub fn run_grid_on(threads: usize, jobs: &[Job<'_>]) -> Vec<JobResult> {
         let lines: Vec<String> = results
             .iter()
             .enumerate()
-            .map(|(i, r)| metrics_record(&job_id(i), r))
+            .map(|(i, r)| r.metrics_record(&job_id(i)))
             .collect();
         if let Err(e) = write_metrics(path, &lines) {
             eprintln!("[runner] warning: could not write COBRA_METRICS={path:?}: {e}");
@@ -266,7 +306,7 @@ pub fn run_grid_on(threads: usize, jobs: &[Job<'_>]) -> Vec<JobResult> {
 
 /// [`run_grid_on`] with the `COBRA_THREADS` thread count — what the
 /// harness binaries call.
-pub fn run_grid(jobs: &[Job<'_>]) -> Vec<JobResult> {
+pub fn run_grid(jobs: &[Job<'_>]) -> Vec<RunRecord> {
     run_grid_on(cobra_core::config::get().threads, jobs)
 }
 
@@ -275,116 +315,6 @@ pub fn run_grid(jobs: &[Job<'_>]) -> Vec<JobResult> {
 /// `job` field of each metrics record.
 pub fn job_id(i: usize) -> String {
     format!("job{i:02}")
-}
-
-/// The packet-path mode the next composed pipeline will use, as a stable
-/// string for machine-readable output: `"plan"` (compiled execution plan)
-/// or `"interpreter"` (`COBRA_PLAN=off`).
-pub fn packet_path_mode() -> &'static str {
-    if cobra_core::config::get().plan {
-        "plan"
-    } else {
-        "interpreter"
-    }
-}
-
-/// A machine-readable summary of a finished grid: total wall clock,
-/// aggregate MIPS, packet-path mode, thread count, and one record per
-/// job. What the fig10 harness writes to `COBRA_GRID_JSON` when it is
-/// set (the committed `results/bench_fig10.json` is one such run).
-pub fn grid_summary_json(results: &[JobResult], threads: usize, wall: Duration) -> String {
-    let insts: u64 = results
-        .iter()
-        .map(|r| r.report.counters.committed_insts)
-        .sum();
-    let wall_s = wall.as_secs_f64();
-    let mips = if wall_s > 0.0 {
-        insts as f64 / wall_s / 1e6
-    } else {
-        0.0
-    };
-    let jobs: Vec<String> = results
-        .iter()
-        .enumerate()
-        .map(|(i, r)| format!("  {}", metrics_record(&job_id(i), r)))
-        .collect();
-    format!(
-        "{{\n\"mode\":{},\n\"threads\":{threads},\n\"jobs_n\":{},\n\"wall_s\":{wall_s:.6},\n\
-         \"aggregate_mips\":{mips:.3},\n\"insts\":{insts},\n\"jobs\":[\n{}\n]\n}}",
-        jsonv::escape(packet_path_mode()),
-        results.len(),
-        jobs.join(",\n")
-    )
-}
-
-/// Writes [`grid_summary_json`] to `path`, creating parent directories as
-/// needed. Failures are reported to stderr but never fail the run — the
-/// tables on stdout are the primary artifact.
-pub fn write_grid_summary(path: &Path, results: &[JobResult], threads: usize, wall: Duration) {
-    let json = grid_summary_json(results, threads, wall);
-    let write = || -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, json.as_bytes())?;
-        Ok(())
-    };
-    match write() {
-        Ok(()) => eprintln!("[runner] grid summary written to {}", path.display()),
-        Err(e) => eprintln!("[runner] warning: could not write {}: {e}", path.display()),
-    }
-}
-
-/// One JSONL metrics record for a finished job — also what `cobra-trace
-/// --metrics` emits, so both surfaces share one schema.
-pub fn metrics_record(job_id: &str, r: &JobResult) -> String {
-    let c = &r.report.counters;
-    // Replayed / restored jobs record their provenance paths so
-    // trace-driven and checkpoint-restored runs are distinguishable when
-    // mining the metrics stream.
-    let mut trace_field = match &r.trace {
-        Some(p) => format!(",\"trace\":{}", jsonv::escape(&p.display().to_string())),
-        None => String::new(),
-    };
-    if let Some(p) = &r.checkpoint {
-        trace_field.push_str(&format!(
-            ",\"checkpoint\":{}",
-            jsonv::escape(&p.display().to_string())
-        ));
-    }
-    if let Some(p) = &r.metrics {
-        trace_field.push_str(&format!(
-            ",\"metrics\":{}",
-            jsonv::escape(&p.display().to_string())
-        ));
-    }
-    if let Some(p) = &r.sampled {
-        trace_field.push_str(&format!(",\"sampled\":{}", jsonv::escape(p)));
-    }
-    if let Some(s) = &r.served {
-        trace_field.push_str(&format!(",\"served\":{}", jsonv::escape(s)));
-    }
-    if let Some(c) = &r.cache {
-        trace_field.push_str(&format!(",\"cache\":{}", jsonv::escape(c)));
-    }
-    format!(
-        "{{\"job\":{},\"design\":{},\"workload\":{},\"wall_s\":{:.6},\"mips\":{:.3},\
-         \"ipc\":{:.4},\"mpki\":{:.4},\"acc\":{:.4},\"insts\":{},\"cycles\":{},\
-         \"branch_misses\":{}{trace_field}}}",
-        jsonv::escape(job_id),
-        jsonv::escape(&r.report.design),
-        jsonv::escape(&r.report.workload),
-        r.wall.as_secs_f64(),
-        r.mips(),
-        c.ipc(),
-        c.mpki(),
-        c.branch_accuracy(),
-        c.committed_insts,
-        c.cycles,
-        c.branch_misses()
-    )
 }
 
 /// Appends `lines` (one JSONL record each) to `path`, creating parent
@@ -446,70 +376,119 @@ mod tests {
         assert_eq!(serial, parallel);
     }
 
+    fn record(workload: &str) -> RunRecord {
+        RunRecord {
+            packet_path: None,
+            ..RunRecord::new(
+                PerfReport {
+                    workload: workload.into(),
+                    design: "TAGE-L".into(),
+                    counters: Default::default(),
+                    attribution: Default::default(),
+                },
+                Duration::from_millis(1234),
+            )
+        }
+    }
+
+    /// The keys of a flat JSON object line, in order (`jsonv` sorts
+    /// them): the strings that follow a `{` or `,` outside any string.
+    fn keys(line: &str) -> Vec<String> {
+        jsonv::parse(line).expect("record parses");
+        let mut keys = Vec::new();
+        let (mut in_str, mut escaped, mut key_next) = (false, false, false);
+        let mut key: Option<String> = None;
+        for ch in line.chars() {
+            if !in_str {
+                match ch {
+                    '"' => {
+                        in_str = true;
+                        key = key_next.then(String::new);
+                    }
+                    '{' | ',' => key_next = true,
+                    _ => key_next = false,
+                }
+            } else if escaped {
+                escaped = false;
+            } else if ch == '\\' {
+                escaped = true;
+            } else if ch == '"' {
+                in_str = false;
+                key_next = false;
+                keys.extend(key.take());
+            } else if let Some(k) = &mut key {
+                k.push(ch);
+            }
+        }
+        keys
+    }
+
     #[test]
-    fn metrics_record_is_valid_json() {
-        let r = JobResult {
-            report: PerfReport {
-                workload: "gcc \"ref\"".into(),
-                design: "TAGE-L".into(),
-                counters: Default::default(),
-                attribution: Default::default(),
-            },
-            wall: Duration::from_millis(1234),
-            trace: None,
-            checkpoint: None,
-            metrics: None,
-            sampled: None,
-            served: None,
-            cache: None,
-        };
-        let line = metrics_record(&job_id(3), &r);
+    fn a_record_without_provenance_keeps_the_eleven_keys() {
+        let r = record("gcc \"ref\"");
+        assert_eq!(r.provenance_note(), "");
+        let line = r.metrics_record(&job_id(3));
+        assert_eq!(
+            keys(&line),
+            [
+                "job",
+                "design",
+                "workload",
+                "wall_s",
+                "mips",
+                "ipc",
+                "mpki",
+                "acc",
+                "insts",
+                "cycles",
+                "branch_misses"
+            ]
+        );
         let v = jsonv::parse(&line).expect("record parses");
         assert_eq!(v.get("job").and_then(jsonv::Json::as_str), Some("job03"));
         assert_eq!(
             v.get("workload").and_then(jsonv::Json::as_str),
             Some("gcc \"ref\"")
         );
-        assert_eq!(
-            v.get("branch_misses").and_then(jsonv::Json::as_u64),
-            Some(0)
-        );
-        // Execution-driven records have no trace field at all …
-        assert!(v.get("trace").is_none());
-        // … replayed jobs carry the trace path.
-        let replayed = JobResult {
-            trace: Some(std::path::PathBuf::from("/tmp/traces/gcc.cbt")),
-            ..r
-        };
-        let line = metrics_record(&job_id(3), &replayed);
-        let v = jsonv::parse(&line).expect("record parses");
-        assert_eq!(
-            v.get("trace").and_then(jsonv::Json::as_str),
-            Some("/tmp/traces/gcc.cbt")
-        );
-        // … sampled jobs carry the slice-state mode and the plan path …
-        let sampled = JobResult {
+    }
+
+    #[test]
+    fn every_provenance_row_reaches_both_channels() {
+        let r = RunRecord {
+            trace: Some(PathBuf::from("/tmp/traces/gcc.cbt")),
+            checkpoint: Some(PathBuf::from("/tmp/ckpt/TAGE-L--gcc.cbs")),
+            metrics: Some(PathBuf::from("metrics/TAGE-L--gcc.cbm")),
             sampled: Some("ckpt:/tmp/plans/gcc.plan.json".into()),
-            ..replayed.clone()
-        };
-        let line = metrics_record(&job_id(3), &sampled);
-        let v = jsonv::parse(&line).expect("record parses");
-        assert_eq!(
-            v.get("sampled").and_then(jsonv::Json::as_str),
-            Some("ckpt:/tmp/plans/gcc.plan.json")
-        );
-        // … and served jobs carry the endpoint plus cache disposition.
-        let served = JobResult {
             served: Some("unix:/tmp/cobra-serve.sock".into()),
             cache: Some("hit".into()),
-            ..replayed
+            packet_path: Some("interpreter"),
+            ..record("gcc")
         };
-        let line = metrics_record(&job_id(3), &served);
+        let note = r.provenance_note();
+        let line = r.metrics_record("job00");
         let v = jsonv::parse(&line).expect("record parses");
+        let rows = r.provenance();
+        for (json_key, stderr_key, value) in &rows {
+            let value = value.as_deref().expect("every field is set");
+            assert!(
+                note.contains(&format!(" {stderr_key}={value}")),
+                "{stderr_key} missing from {note:?}"
+            );
+            assert_eq!(
+                v.get(json_key).and_then(jsonv::Json::as_str),
+                Some(value),
+                "{json_key} in {line}"
+            );
+        }
+        let tail: Vec<String> = keys(&line).split_off(11);
+        let row_keys: Vec<&str> = rows.iter().map(|(k, _, _)| *k).collect();
         assert_eq!(
-            v.get("served").and_then(jsonv::Json::as_str),
-            Some("unix:/tmp/cobra-serve.sock")
+            tail, row_keys,
+            "provenance follows the counters in row order"
         );
-        assert_eq!(v.get("cache").and_then(jsonv::Json::as_str), Some("hit"));
+        assert!(
+            note.contains(" ckpt=/tmp/ckpt/TAGE-L--gcc.cbs cbm="),
+            "{note}"
+        );
     }
 }

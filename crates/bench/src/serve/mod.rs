@@ -33,11 +33,10 @@
 //! scheduling, worker pool), and [`client`] the line client used by the
 //! `--bench-client` load generator and the tests.
 //!
-//! Environment knobs (all overridable by `cobra-serve` flags, read via
-//! [`cobra_core::config`]; the full table is `docs/CONFIG.md`):
-//! `COBRA_SERVE_CACHE` (cache root, `off` disables), `COBRA_SERVE_QUEUE`
-//! (admission-queue bound), `COBRA_SERVE_PROGRESS` (progress stride),
-//! `COBRA_SERVE_INSTS_CAP` (per-job instruction ceiling).
+//! The daemon's settings are `cobra-serve` flags (`--cache`, `--queue`,
+//! `--insts-cap`, `--progress`), defaulting to the constants below; it
+//! shares `COBRA_THREADS`, `COBRA_INSTS` and `COBRA_METRICS` with the
+//! batch harness (`docs/CONFIG.md`).
 
 pub mod cache;
 pub mod client;
@@ -45,5 +44,9 @@ pub mod exec;
 pub mod protocol;
 pub mod server;
 
-/// Default per-job instruction ceiling (`COBRA_SERVE_INSTS_CAP`).
+/// Default per-job instruction ceiling (`--insts-cap`).
 pub const DEFAULT_INSTS_CAP: u64 = 5_000_000;
+/// Default warm-cache root (`--cache`).
+pub const DEFAULT_CACHE_DIR: &str = "serve-cache";
+/// Default admission-queue bound across all connections (`--queue`).
+pub const DEFAULT_QUEUE_CAP: usize = 64;

@@ -18,6 +18,13 @@ use cobra_uarch::{PerfCounters, PerfReport};
 /// incompatible wire change.
 pub const PROTO_VERSION: u32 = 1;
 
+/// The longest request line the daemon reads, in bytes without the
+/// newline: far above any valid request (a submit with a whitespace-padded
+/// raw topology can pass 4 KiB), and the bound on what one connection can
+/// make the daemon buffer. A longer line is answered with `E_PARSE` and
+/// the connection is closed.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Reject code: the request line is not valid JSON or not a known `op`.
 pub const E_PARSE: &str = "E_PARSE";
 /// Reject code: the design/topology failed admission (unknown name,

@@ -22,7 +22,7 @@
 //! fig. 10 grid cannot starve another's single job.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -81,8 +81,8 @@ impl Listen {
     }
 }
 
-/// Daemon configuration, fully resolved (CLI over environment over
-/// defaults) before [`Server::bind`].
+/// Daemon configuration, fully resolved (`cobra-serve` flags over the
+/// defaults in [`super`]) before [`Server::bind`].
 #[derive(Debug)]
 pub struct ServeConfig {
     /// Listen endpoint.
@@ -413,9 +413,36 @@ fn connection_loop(shared: &Arc<Shared>, conn_id: u64, reader: Conn, mut writer:
         shared.insts_cap,
     ));
 
-    let mut lines = BufReader::new(reader).lines();
+    let mut reader = BufReader::new(reader);
+    let mut buf = Vec::new();
     let mut said_bye = false;
-    while let Some(Ok(line)) = lines.next() {
+    loop {
+        buf.clear();
+        // One byte past the cap tells an over-long line from one that
+        // is exactly the cap plus its newline.
+        let limit = protocol::MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.len() > protocol::MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            let msg = format!(
+                "request line longer than {} bytes",
+                protocol::MAX_LINE_BYTES
+            );
+            send(protocol::ev_rejected(None, E_PARSE, &msg, None, None));
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            send(protocol::ev_rejected(
+                None,
+                E_PARSE,
+                "request line is not UTF-8",
+                None,
+                None,
+            ));
+            continue;
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;

@@ -4,6 +4,7 @@
 //! (`<tool>: <msg>`, a blank line and its usage on stderr, exit 2). It
 //! never panics, and it writes nothing before its arguments parse.
 
+use cobra_bench::jsonv::{self, Json};
 use cobra_core::config::KNOBS;
 use std::ffi::OsString;
 use std::path::PathBuf;
@@ -233,6 +234,10 @@ fn every_flag_in_usage_is_accepted() {
     }
 }
 
+/// The committed golden full runs and the plans they were sampled from.
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig10_full.jsonl");
+const PLANS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/plans");
+
 /// `cobra-sample` has no `--list`, so its unknown-workload error names
 /// every workload instead of pointing at one.
 const SAMPLE_UNKNOWN_WORKLOAD: &str = "unknown workload `nope` (one of perlbench, gcc, mcf, \
@@ -302,6 +307,15 @@ fn usage_errors_name_the_argument_exactly() {
             SAMPLE_UNKNOWN_WORKLOAD,
         ),
         (
+            "cobra-sample",
+            &["check", "--golden", GOLDEN, "dhrystone"],
+            concat!(
+                "no golden row for Tournament/dhrystone in ",
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/fig10_full.jsonl"
+            ),
+        ),
+        (
             "cobra-capture",
             &["nope"],
             "unknown workload `nope` (try --list)",
@@ -337,4 +351,44 @@ fn non_utf8_arguments_are_usage_errors_at_their_position() {
         assert_eq!(out.status.code(), Some(2), "{tool}");
         assert_eq!(text(&out.stderr), format!("{tool}: {msg}\n\n{usage}"));
     }
+}
+
+/// `cobra-sample check` gates only the cells named on argv: one design on
+/// one workload gives a report of exactly that cell.
+#[test]
+fn sample_check_gates_only_the_named_cells() {
+    let cwd = Cwd::new("check");
+    let exe = env!("CARGO_BIN_EXE_cobra-sample");
+    let mut cmd = Command::new(exe);
+    cmd.args([
+        "check",
+        "--plans",
+        PLANS,
+        "--golden",
+        GOLDEN,
+        "--designs",
+        "TAGE-L",
+        "--bound",
+        "100",
+        "--report",
+        "report.json",
+        "gcc",
+    ])
+    .current_dir(&cwd.0);
+    for knob in &KNOBS {
+        cmd.env_remove(knob.name);
+    }
+    // The golden rows were blessed at the default scale.
+    cmd.env("COBRA_INSTS", "500000");
+    let out = cmd.output().unwrap_or_else(|e| panic!("spawn {exe}: {e}"));
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+    let report = std::fs::read_to_string(cwd.0.join("report.json")).expect("report written");
+    let v = jsonv::parse(&report).expect("report parses");
+    let cells = v.get("cells").and_then(Json::as_arr).expect("cells");
+    assert_eq!(cells.len(), 1, "{report}");
+    assert_eq!(
+        cells[0].get("design").and_then(Json::as_str),
+        Some("TAGE-L")
+    );
+    assert_eq!(cells[0].get("workload").and_then(Json::as_str), Some("gcc"));
 }

@@ -3,7 +3,7 @@
 //! once-per-process warning rule and the knob gates are observed end to
 //! end without touching this process's environment.
 
-use cobra_core::config::{Config, KNOBS};
+use cobra_core::config::KNOBS;
 use std::process::{Command, Output};
 
 /// Runs binary `exe` with `args`, every `COBRA_*` knob removed and then
@@ -28,20 +28,19 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// `fig10_spec` reads the thread count twice (the grid and its summary)
-/// but warns about a bad value once; an empty `COBRA_METRICS` is unset.
+/// `fig10_spec` warns about a bad thread count once, and its
+/// `COBRA_METRICS` file holds one run record per grid job.
 #[test]
 fn a_bad_thread_count_warns_once_per_process() {
     let dir = scratch("threads");
-    let grid_json = dir.join("grid.json");
+    let metrics = dir.join("fig10.jsonl");
     let out = run(
         env!("CARGO_BIN_EXE_fig10_spec"),
         &[],
         &[
             ("COBRA_INSTS", "1000"),
             ("COBRA_THREADS", "x"),
-            ("COBRA_METRICS", ""),
-            ("COBRA_GRID_JSON", grid_json.to_str().expect("utf-8 path")),
+            ("COBRA_METRICS", metrics.to_str().expect("utf-8 path")),
         ],
     );
     let err = stderr(&out);
@@ -52,7 +51,11 @@ fn a_bad_thread_count_warns_once_per_process() {
         .collect();
     assert_eq!(warnings.len(), 1, "{warnings:?}");
     assert!(warnings[0].contains("\"x\""), "{}", warnings[0]);
-    assert!(grid_json.is_file(), "COBRA_GRID_JSON not written");
+    let records = std::fs::read_to_string(&metrics).expect("COBRA_METRICS written");
+    assert_eq!(records.lines().count(), 30, "{records}");
+    for line in records.lines() {
+        cobra_bench::jsonv::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -80,12 +83,4 @@ fn profile_off_leaves_the_profiler_off() {
         |value| stderr(&run(exe, &args, &[("COBRA_PROFILE", value)])).contains("[profile]");
     assert!(!profiled("off"));
     assert!(profiled("on"));
-}
-
-#[test]
-fn serve_insts_cap_default_is_the_documented_one() {
-    assert_eq!(
-        Config::default().serve_insts_cap,
-        cobra_bench::serve::DEFAULT_INSTS_CAP
-    );
 }

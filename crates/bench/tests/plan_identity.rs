@@ -8,13 +8,14 @@
 //! produce bit-identical [`PerfReport`]s (counters *and* per-component
 //! attribution) with `COBRA_PLAN=off` and with the plan enabled —
 //! execution-driven, trace-replayed (`COBRA_TRACE_DIR`), and
-//! checkpoint-restored (`COBRA_CKPT_DIR`).
+//! checkpoint-restored (`COBRA_CKPT_DIR`). A run's record names the
+//! interpreter path (`"packet_path":"interpreter"`) exactly when it ran.
 //!
 //! One test function on purpose: it pins the `COBRA_PLAN`, `COBRA_INSTS`,
 //! `COBRA_TRACE_DIR`, and `COBRA_CKPT_DIR` knobs of the process config,
 //! which would race against sibling tests reading the same knobs.
 
-use cobra_bench::{capture_workload, ckpt_file_name, run_one};
+use cobra_bench::{capture_workload, ckpt_file_name, run_one, run_one_sourced};
 use cobra_core::composer::Design;
 use cobra_core::config::{self, Config};
 use cobra_core::designs;
@@ -75,12 +76,22 @@ fn plan_matches_interpreter_on_every_design_and_profile() {
         .map(|w| spec17::spec17(w))
         .collect();
 
-    // Arm 1 — direct execution: the interpreter is the reference.
+    // Arm 1 — direct execution: the interpreter is the reference. Each
+    // run's record names the interpreter, and only the interpreter.
     set_plan(false);
     let reference = sweep(&all, &specs);
+    let record = run_one_sourced(&all[0], CoreConfig::boom_4wide(), &specs[0], None);
+    assert_eq!(record.packet_path, Some("interpreter"));
+    let line = record.metrics_record("job00");
+    assert!(
+        line.ends_with(",\"packet_path\":\"interpreter\"}"),
+        "{line}"
+    );
     set_plan(true);
     let plan = sweep(&all, &specs);
     assert_identical(&reference, &plan, "direct");
+    let record = run_one_sourced(&all[0], CoreConfig::boom_4wide(), &specs[0], None);
+    assert!(!record.metrics_record("job00").contains("packet_path"));
 
     let scratch = std::env::temp_dir().join(format!("cobra-plan-identity-{}", std::process::id()));
     let trace_dir = scratch.join("traces");

@@ -307,6 +307,60 @@ fn admission_rejects_are_precise() {
     assert!(c.recv_until("pong", |_, _| {}).unwrap().is_some());
 }
 
+/// A line that is not UTF-8 is an `E_PARSE`. A line one byte past the
+/// cap, with no newline, is answered with one `E_PARSE` naming the cap
+/// and the connection closes; the daemon keeps serving new connections.
+/// The long line is sent in 4 KiB chunks, so the test never holds it in
+/// memory.
+#[test]
+fn an_over_long_line_is_rejected_and_the_connection_closes() {
+    use std::io::{BufRead, BufReader, Write};
+    let server = TestServer::start(1, 8, None);
+    let Listen::Tcp(addr) = &server.listen else {
+        unreachable!("the test server listens on tcp");
+    };
+    let mut stream = std::net::TcpStream::connect(addr.as_str()).expect("connect");
+    // A daemon that waits for the newline must fail the test, not hang it.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("read timeout");
+    stream.write_all(b"{\"op\":\"ping\xff\"}\n").expect("send");
+    let chunk = [b' '; 4096];
+    let mut left = protocol::MAX_LINE_BYTES + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        stream.write_all(&chunk[..n]).expect("send");
+        left -= n;
+    }
+    let mut lines = BufReader::new(stream).lines();
+    let hello = lines.next().expect("hello").expect("read hello");
+    assert!(hello.contains("\"ev\":\"hello\""), "{hello}");
+    let not_utf8 = lines.next().expect("a reject").expect("read reject");
+    assert!(
+        not_utf8.contains(protocol::E_PARSE) && not_utf8.contains("UTF-8"),
+        "{not_utf8}"
+    );
+    let rejected = lines.next().expect("a reject").expect("read reject");
+    let v = jsonv::parse(&rejected).expect("reject parses");
+    assert_eq!(
+        v.get("code").and_then(Json::as_str),
+        Some(protocol::E_PARSE)
+    );
+    let cap = protocol::MAX_LINE_BYTES.to_string();
+    assert!(
+        v.get("msg").and_then(Json::as_str).unwrap().contains(&cap),
+        "{rejected}"
+    );
+    assert!(
+        lines.next().is_none(),
+        "the connection closes after the reject"
+    );
+
+    let mut c = server.connect();
+    c.send("{\"op\":\"ping\"}").unwrap();
+    assert!(c.recv_until("pong", |_, _| {}).unwrap().is_some());
+}
+
 #[test]
 fn full_queue_pushes_back_with_retry_hint() {
     // One worker and a one-deep queue: pipelining a burst must produce

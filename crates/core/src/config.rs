@@ -58,7 +58,7 @@ const fn knob(name: &'static str, rule: Rule, default: &'static str, doc: &'stat
 
 /// Every knob, in `docs/CONFIG.md` order.
 #[rustfmt::skip]
-pub const KNOBS: [Knob; 20] = [
+pub const KNOBS: [Knob; 15] = [
     knob("COBRA_INSTS", Rule::Count, "500000", "measured instructions per run; 0 is clamped to 1"),
     knob("COBRA_THREADS", Rule::Count, "available parallelism", "worker threads; 0 is clamped to 1"),
     knob("COBRA_PLAN", Rule::Flag, "on", "off selects the reference interpreter fold"),
@@ -68,17 +68,12 @@ pub const KNOBS: [Knob; 20] = [
     knob("COBRA_CKPT_DIR", Rule::Dir, "unset", "restore warm-state .cbs checkpoints from here"),
     knob("COBRA_SAMPLE_DIR", Rule::Dir, "unset", "estimate planned workloads from sampling plans here"),
     knob("COBRA_SAMPLE_WARMUP", Rule::Count, "2× the plan's interval length", "cold warm-up per sampled slice"),
-    knob("COBRA_SERVE_CACHE", Rule::Path, "serve-cache", "serve warm-cache root; off or 0 disables it"),
-    knob("COBRA_SERVE_QUEUE", Rule::Count, "64", "serve admission-queue bound; 0 is clamped to 1"),
-    knob("COBRA_SERVE_PROGRESS", Rule::Count, "insts / 4 per job", "serve progress stride; 0 disables it"),
-    knob("COBRA_SERVE_INSTS_CAP", Rule::Count, "5000000", "largest per-job insts serve accepts; 0 is clamped to 1"),
     knob("COBRA_TRACE", Rule::Path, "unset", "event-trace path template"),
     knob("COBRA_METRICS", Rule::Path, "unset", "per-job JSONL metrics file"),
     knob("COBRA_INTERVAL", Rule::Count, "unset", "interval-telemetry length; 0 means off"),
     knob("COBRA_INTERVAL_DIR", Rule::Path, "metrics/", "where .cbm interval files go"),
     knob("COBRA_PROGRESS", Rule::Count, "unset", "per-job heartbeat period; 0 means off"),
     knob("COBRA_PROFILE", Rule::Flag, "off", "arm the plan-node self-profiler"),
-    knob("COBRA_GRID_JSON", Rule::Path, "unset", "fig10_spec run-summary path; unset writes none"),
 ];
 
 /// The resolved value of every knob, one typed field each; see
@@ -103,14 +98,6 @@ pub struct Config {
     pub sample_dir: Option<PathBuf>,
     /// `COBRA_SAMPLE_WARMUP` (`None`: twice the plan's interval length).
     pub sample_warmup: Option<u64>,
-    /// `COBRA_SERVE_CACHE` (`None`: the cache is disabled).
-    pub serve_cache: Option<PathBuf>,
-    /// `COBRA_SERVE_QUEUE` (at least 1).
-    pub serve_queue: usize,
-    /// `COBRA_SERVE_PROGRESS` (`None`: a quarter of each job's insts).
-    pub serve_progress: Option<u64>,
-    /// `COBRA_SERVE_INSTS_CAP` (at least 1).
-    pub serve_insts_cap: u64,
     /// `COBRA_TRACE`: the event-trace path template.
     pub trace: Option<String>,
     /// `COBRA_METRICS`.
@@ -123,8 +110,6 @@ pub struct Config {
     pub progress: Option<u64>,
     /// `COBRA_PROFILE`.
     pub profile: bool,
-    /// `COBRA_GRID_JSON` (`None`: no summary is written).
-    pub grid_json: Option<PathBuf>,
 }
 
 impl Default for Config {
@@ -140,17 +125,12 @@ impl Default for Config {
             ckpt_dir: None,
             sample_dir: None,
             sample_warmup: None,
-            serve_cache: Some(PathBuf::from("serve-cache")),
-            serve_queue: 64,
-            serve_progress: None,
-            serve_insts_cap: 5_000_000,
             trace: None,
             metrics: None,
             interval: None,
             interval_dir: PathBuf::from("metrics"),
             progress: None,
             profile: false,
-            grid_json: None,
         }
     }
 }
@@ -177,18 +157,6 @@ impl Config {
             ckpt_dir: v.dir("COBRA_CKPT_DIR"),
             sample_dir: v.dir("COBRA_SAMPLE_DIR"),
             sample_warmup: v.count("COBRA_SAMPLE_WARMUP"),
-            serve_cache: match v.path("COBRA_SERVE_CACHE") {
-                Some(p) if p == "off" || p == "0" => None,
-                Some(p) => Some(PathBuf::from(p)),
-                None => d.serve_cache,
-            },
-            serve_queue: v
-                .count("COBRA_SERVE_QUEUE")
-                .map_or(d.serve_queue, at_least_one),
-            serve_progress: v.count("COBRA_SERVE_PROGRESS"),
-            serve_insts_cap: v
-                .count("COBRA_SERVE_INSTS_CAP")
-                .map_or(d.serve_insts_cap, |n| n.max(1)),
             trace: v.path("COBRA_TRACE"),
             metrics: v.path("COBRA_METRICS").map(PathBuf::from),
             interval: v.count("COBRA_INTERVAL").filter(|&n| n > 0),
@@ -197,7 +165,6 @@ impl Config {
                 .map_or(d.interval_dir, PathBuf::from),
             progress: v.count("COBRA_PROGRESS").filter(|&n| n > 0),
             profile: v.flag("COBRA_PROFILE").unwrap_or(d.profile),
-            grid_json: v.path("COBRA_GRID_JSON").map(PathBuf::from),
         };
         (config, v.warnings)
     }

@@ -73,13 +73,6 @@ fn drifted_spellings_follow_one_rule() {
         ("COBRA_THREADS", "0", |c| c.threads == 1, 0),
         ("COBRA_METRICS", "", |c| c.metrics.is_none(), 0),
         ("COBRA_METRICS", "  ", |c| c.metrics.is_none(), 0),
-        ("COBRA_SERVE_CACHE", "off", |c| c.serve_cache.is_none(), 0),
-        (
-            "COBRA_SERVE_PROGRESS",
-            "0",
-            |c| c.serve_progress == Some(0),
-            0,
-        ),
         (
             "COBRA_TRACE_DIR",
             "/no/such/cobra/dir",
@@ -111,7 +104,7 @@ fn documented_defaults_are_the_default_config() {
             checked += 1;
         }
     }
-    assert_eq!(checked, 9, "knobs whose documented default is a value");
+    assert_eq!(checked, 6, "knobs whose documented default is a value");
 }
 
 /// `docs/CONFIG.md` lists exactly the knob table: the same variables
