@@ -27,7 +27,7 @@
 //! at least one denied diagnostic fired.
 
 use cobra_bench::cli::{self, Stop};
-use cobra_bench::reference;
+use cobra_bench::{jsonv, reference};
 use cobra_core::analysis::{self, AnalysisConfig, DiagCode, Severity};
 use cobra_core::designs;
 use std::process::ExitCode;
@@ -232,8 +232,8 @@ fn main() -> ExitCode {
                 match o.format {
                     Format::Json => json_reports.push(format!(
                         "{{\"design\":{},\"error\":{}}}",
-                        json_str(target),
-                        json_str(&msg)
+                        jsonv::escape(target),
+                        jsonv::escape(&msg)
                     )),
                     Format::Sarif => sarif_results.push(sarif_result(
                         "C0001",
@@ -289,10 +289,10 @@ fn sarif_result(
         "{{\"ruleId\":{},\"level\":{},\"message\":{{\"text\":{}}},\
          \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":\
          {{\"uri\":{}}}{region_json}}}}}]}}",
-        json_str(rule),
-        json_str(level),
-        json_str(message),
-        json_str(&format!("topologies/{}.cobra", sanitize(artifact))),
+        jsonv::escape(rule),
+        jsonv::escape(level),
+        jsonv::escape(message),
+        jsonv::escape(&format!("topologies/{}.cobra", sanitize(artifact))),
     )
 }
 
@@ -329,9 +329,9 @@ fn sarif_document(results: &[String]) -> String {
             format!(
                 "{{\"id\":{},\"shortDescription\":{{\"text\":{}}},\
                  \"defaultConfiguration\":{{\"level\":{}}}}}",
-                json_str(c.code()),
-                json_str(c.summary()),
-                json_str(sarif_level(c.default_severity())),
+                jsonv::escape(c.code()),
+                jsonv::escape(c.summary()),
+                jsonv::escape(sarif_level(c.default_severity())),
             )
         })
         .collect::<Vec<_>>()
@@ -356,23 +356,4 @@ fn sanitize(s: &str) -> String {
             }
         })
         .collect()
-}
-
-/// Local JSON string escaping (mirrors the analyzer's serde-free output).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -175,14 +175,14 @@ fn worst_intervals(file: &CbmFile, row: usize, top: usize) -> Vec<(usize, u64)> 
 fn render_human(path: &str, file: &CbmFile, o: &Options) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    let m = &file.meta;
+    let m = &file.meta.id;
     let _ = writeln!(
         out,
         "{path}: {} on {} (topology {}), interval {} insts, {} intervals",
         m.design,
         m.workload,
         m.topology,
-        m.interval_n,
+        file.meta.interval_n,
         file.records.len()
     );
     let _ = writeln!(
@@ -260,7 +260,7 @@ fn render_human(path: &str, file: &CbmFile, o: &Options) -> String {
 }
 
 fn render_json(path: &str, file: &CbmFile, o: &Options) -> String {
-    let m = &file.meta;
+    let m = &file.meta.id;
     let records: Vec<String> = file
         .records
         .iter()
@@ -296,7 +296,7 @@ fn render_json(path: &str, file: &CbmFile, o: &Options) -> String {
         jsonv::escape(&m.design),
         jsonv::escape(&m.workload),
         jsonv::escape(&m.topology),
-        m.interval_n,
+        file.meta.interval_n,
         file.records.len(),
         file.totals_host.committed_insts,
         file.totals_host.mpki(),

@@ -4,8 +4,9 @@
 //! The build environment has no crates.io access, so the observability
 //! surfaces (the runner's metrics JSONL, `cobra-trace --format json`, the
 //! `COBRA_TRACE` event stream) hand-roll their JSON output. This module
-//! holds the shared escaping helper plus a small recursive-descent parser
-//! used to validate those streams in `--selfcheck` mode and in tests —
+//! re-exports the one string escaper, `cobra_core::obs::trace::json_str`,
+//! as [`escape`], and holds a small recursive-descent parser used to
+//! validate those streams in `--selfcheck` mode and in tests —
 //! strict enough to reject malformed output (trailing garbage, bad
 //! escapes, unterminated strings), with no serde-style mapping layer.
 //!
@@ -14,6 +15,7 @@
 //! [`MAX_DEPTH`] levels, far above the few levels any document this repo
 //! writes uses, and far below what a thread stack can hold.
 
+pub use cobra_core::obs::trace::json_str as escape;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -109,26 +111,6 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
         return Err(err(pos, "trailing characters after value"));
     }
     Ok(v)
-}
-
-/// Escapes `s` as a JSON string literal, including the surrounding
-/// quotes — the shared writer-side helper.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn err(at: usize, msg: &str) -> ParseError {

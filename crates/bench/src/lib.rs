@@ -322,10 +322,7 @@ fn write_interval_metrics(
     dir: &Path,
 ) -> Option<PathBuf> {
     let meta = cobra_uarch::CbmMeta {
-        design: design.name.clone(),
-        topology: design.topology.clone(),
-        config_hash: cobra_uarch::config_hash(design, cfg),
-        workload: workload.to_string(),
+        id: cobra_uarch::run_identity(design, cfg, workload),
         warmup_insts: warmup,
         interval_n: series.interval_n,
         sig_buckets: cobra_core::obs::interval::SIG_BUCKETS as u64,
@@ -338,7 +335,7 @@ fn write_interval_metrics(
             std::io::BufWriter::new(file),
             &meta,
             &series,
-            &report.counters.to_host(),
+            &report.counters,
             &report.attribution,
         )
         .map_err(|e| e.to_string())?;

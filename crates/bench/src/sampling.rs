@@ -144,7 +144,7 @@ impl Estimate {
         for (slot, v) in a.iter_mut().zip(self.totals) {
             *slot = v.round().max(0.0) as u64;
         }
-        PerfCounters::from_host(&HostCounters::from_array(a))
+        PerfCounters::from_array(a)
     }
 }
 
@@ -277,8 +277,8 @@ pub fn derive_plan(cbm: &CbmFile, k: usize, seed: u64) -> Result<SamplePlan, Str
 
     let total_insts: u64 = cbm.records.iter().map(|r| r.host.committed_insts).sum();
     Ok(SamplePlan {
-        workload: cbm.meta.workload.clone(),
-        source_design: cbm.meta.design.clone(),
+        workload: cbm.meta.id.workload.clone(),
+        source_design: cbm.meta.id.design.clone(),
         interval_n: cbm.meta.interval_n,
         sig_buckets: cbm.meta.sig_buckets,
         warmup_insts: cbm.meta.warmup_insts,
@@ -662,7 +662,7 @@ fn run_slices_from_checkpoints(
                 slice.seq, report.counters.committed_insts
             ));
         }
-        deltas.push(report.counters.delta(&baseline).to_host());
+        deltas.push(report.counters.delta(&baseline));
         prev_end = end;
     }
     Ok(deltas)
@@ -732,7 +732,7 @@ fn run_one_slice<S: cobra_uarch::InstructionStream>(
             slice.seq, slice.len, report.counters.committed_insts
         ));
     }
-    let delta = report.counters.delta(&baseline).to_host();
+    let delta = report.counters.delta(&baseline);
     let pulls = core.into_stream().pulls();
     Ok((delta, pulls))
 }
@@ -741,6 +741,7 @@ fn run_one_slice<S: cobra_uarch::InstructionStream>(
 mod tests {
     use super::*;
     use cobra_core::obs::interval::IntervalRecord;
+    use cobra_sim::container::Identity;
     use cobra_uarch::CbmMeta;
 
     /// A synthetic `.cbm` with `n` intervals alternating between two
@@ -789,10 +790,12 @@ mod tests {
         }
         CbmFile {
             meta: CbmMeta {
-                design: "TAGE-L".into(),
-                topology: "LOOP3 > TAGE3 > BTB2 > BIM2 > UBTB1".into(),
-                config_hash: 7,
-                workload: "synthetic".into(),
+                id: Identity {
+                    design: "TAGE-L".into(),
+                    topology: "LOOP3 > TAGE3 > BTB2 > BIM2 > UBTB1".into(),
+                    config_hash: 7,
+                    workload: "synthetic".into(),
+                },
                 warmup_insts: 8_000,
                 interval_n: 2_000,
                 sig_buckets: 64,

@@ -95,14 +95,14 @@ impl WarmCache {
     fn result_path(&self, meta: &CbrMeta) -> PathBuf {
         self.results.join(format!(
             "{:016x}--{}--i{}.cbr",
-            meta.config_hash, meta.workload, meta.insts
+            meta.id.config_hash, meta.id.workload, meta.insts
         ))
     }
 
     fn ckpt_path(&self, meta: &CbsMeta) -> PathBuf {
         self.ckpt.join(format!(
             "{:016x}--{}--w{}.cbs",
-            meta.config_hash, meta.workload, meta.warmup_insts
+            meta.id.config_hash, meta.id.workload, meta.warmup_insts
         ))
     }
 

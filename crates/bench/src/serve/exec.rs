@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use cobra_core::composer::Design;
 use cobra_uarch::{
-    best_resume_checkpoint, config_hash, restore_checkpoint_resume, CbrMeta, CbsMeta, Core,
+    best_resume_checkpoint, restore_checkpoint_resume, run_identity, CbrMeta, CbsMeta, Core,
     CoreConfig, PerfReport,
 };
 use cobra_workloads::ProgramSpec;
@@ -86,10 +86,7 @@ pub fn execute_job(
     let warmup = warmup_for(measure);
     let workload = spec.name.as_str();
     let result_meta = CbrMeta {
-        design: design.name.clone(),
-        topology: design.topology.clone(),
-        config_hash: config_hash(design, &cfg),
-        workload: workload.to_string(),
+        id: run_identity(design, &cfg, workload),
         insts: measure,
         warmup_insts: warmup,
     };
@@ -108,7 +105,10 @@ pub fn execute_job(
 
     let mut core =
         Core::new(design, cfg, spec.build()).expect("admission gated the topology already");
-    let boundary_meta = CbsMeta::for_run(design, &cfg, workload, warmup);
+    let boundary_meta = CbsMeta {
+        id: result_meta.id.clone(),
+        warmup_insts: warmup,
+    };
 
     // Tier 2: restore the latest checkpoint at or before our warmup
     // boundary. A failed restore may leave the core partially

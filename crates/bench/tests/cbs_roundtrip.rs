@@ -274,6 +274,97 @@ fn corruption_errors_are_precise() {
     c.extend_from_slice(b"junk");
     assert!(matches!(
         restore_checkpoint(&c[..], &good, &mut core),
-        Err(ContainerError::TrailingBytes { count: 4 })
+        Err(ContainerError::TrailingBytes {
+            what: "footer magic",
+            count: 4
+        })
     ));
+}
+
+/// Applies `edit` to the state payload of a valid `.cbs` file and
+/// re-forges the payload length and CRC, so the corruption reaches the
+/// state decoder instead of failing the checksum.
+fn edit_state_payload(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut rest = bytes;
+    cobra_uarch::read_meta(&mut rest).expect("valid header");
+    let header_len = bytes.len() - rest.len();
+    let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+    let mut payload = rest[4..4 + len].to_vec();
+    edit(&mut payload);
+    let len_bytes = (payload.len() as u32).to_le_bytes();
+    let crc = cobra_sim::crc32c(&[&len_bytes[..], &payload].concat());
+    let footer = &rest[4 + len + 4..];
+    [
+        &bytes[..header_len],
+        &len_bytes,
+        &payload,
+        &crc.to_le_bytes(),
+        footer,
+    ]
+    .concat()
+}
+
+/// Corruption inside a checksum-valid state payload is reported by the
+/// state decoder with an error naming the section or field at fault, and
+/// unread state bytes are counted as trailing the state payload.
+#[test]
+fn state_payload_errors_name_their_field() {
+    let (design, cfg, spec, bytes) = small_checkpoint();
+    let good = CbsMeta::for_run(&design, &cfg, &spec.name, 2_000);
+    let fresh = || Core::new(&design, cfg, spec.build()).expect("stock designs compose");
+    let restore = |c: &[u8]| restore_checkpoint(c, &good, &mut fresh());
+    restore(&edit_state_payload(&bytes, |_| {})).expect("an untouched payload restores");
+
+    // The payload opens the `core` section: tag, name length, then the
+    // name. Flipping its first letter renames the section.
+    let renamed = edit_state_payload(&bytes, |p| {
+        assert_eq!(&p[2..6], b"core");
+        p[2] ^= 0x20;
+    });
+    match restore(&renamed) {
+        Err(e @ ContainerError::SectionName { .. }) => {
+            let msg = e.to_string();
+            assert!(
+                msg.contains("\"core\"") && msg.contains("\"Core\""),
+                "{msg}"
+            );
+        }
+        other => panic!("expected SectionName, got {other:?}"),
+    }
+
+    // The section's first field is the cycle count; retagging it as a
+    // boolean trips the reader's tag check on that field.
+    let retagged = edit_state_payload(&bytes, |p| p[6] = 0xD3);
+    match restore(&retagged) {
+        Err(
+            e @ ContainerError::TagMismatch {
+                at: 6, got: 0xD3, ..
+            },
+        ) => {
+            assert!(e.to_string().contains("core cycle"), "{e}");
+        }
+        other => panic!("expected TagMismatch, got {other:?}"),
+    }
+
+    // The payload's last byte is the field count the writer recorded for
+    // the `core` section; bump it and the reader's count disagrees.
+    let recounted = edit_state_payload(&bytes, |p| *p.last_mut().unwrap() += 1);
+    match restore(&recounted) {
+        Err(e @ ContainerError::FieldCount { .. }) => {
+            assert!(e.to_string().contains("section \"core\""), "{e}");
+        }
+        other => panic!("expected FieldCount, got {other:?}"),
+    }
+
+    // One byte past the decoded state.
+    let trailing = edit_state_payload(&bytes, |p| p.push(0));
+    match restore(&trailing) {
+        Err(
+            e @ ContainerError::TrailingBytes {
+                what: "state payload",
+                count: 1,
+            },
+        ) => assert!(e.to_string().contains("state payload"), "{e}"),
+        other => panic!("expected TrailingBytes after the state payload, got {other:?}"),
+    }
 }

@@ -84,3 +84,23 @@ fn profile_off_leaves_the_profiler_off() {
     assert!(!profiled("off"));
     assert!(profiled("on"));
 }
+
+/// A retired knob set in the environment is not silently ignored: the
+/// binary warns once, naming it, and still runs.
+#[test]
+fn a_retired_knob_warns_once() {
+    let exe = env!("CARGO_BIN_EXE_cobra-trace");
+    let out = run(
+        exe,
+        &["TAGE-L", "gcc", "--insts", "2000"],
+        &[("COBRA_GRID_JSON", "grid.json")],
+    );
+    let err = stderr(&out);
+    assert!(out.status.success(), "cobra-trace failed:\n{err}");
+    let warnings: Vec<&str> = err
+        .lines()
+        .filter(|l| l.contains("COBRA_GRID_JSON"))
+        .collect();
+    assert_eq!(warnings.len(), 1, "{err}");
+    assert!(warnings[0].starts_with("warning: "), "{}", warnings[0]);
+}

@@ -19,7 +19,7 @@ use cobra_core::designs;
 use cobra_core::obs::interval::{HostCounters, IntervalSeries, SIG_BUCKETS};
 use cobra_core::obs::ComponentCounters;
 use cobra_uarch::{
-    config_hash, read_metrics, reconcile, restore_checkpoint, save_checkpoint, save_metrics,
+    read_metrics, reconcile, restore_checkpoint, run_identity, save_checkpoint, save_metrics,
     CbmMeta, CbsMeta, Core, CoreConfig, PerfReport,
 };
 use cobra_workloads::{spec17, TraceProgram};
@@ -50,7 +50,7 @@ fn assert_reconciles(series: &IntervalSeries, report: &PerfReport, ctx: &str) {
     for r in &series.records {
         host.accumulate(&r.host);
     }
-    assert_eq!(host, report.counters.to_host(), "{ctx}: host counters");
+    assert_eq!(host, report.counters, "{ctx}: host counters");
 
     // Attribution: one label per component row, every counter additive.
     let totals = &report.attribution;
@@ -147,10 +147,7 @@ fn assert_cbm_roundtrips(
     ctx: &str,
 ) {
     let meta = CbmMeta {
-        design: design.name.clone(),
-        topology: design.topology.clone(),
-        config_hash: config_hash(design, cfg),
-        workload: workload.to_string(),
+        id: run_identity(design, cfg, workload),
         warmup_insts: WARMUP,
         interval_n: series.interval_n,
         sig_buckets: SIG_BUCKETS as u64,
@@ -160,7 +157,7 @@ fn assert_cbm_roundtrips(
         &mut bytes,
         &meta,
         series,
-        &report.counters.to_host(),
+        &report.counters,
         &report.attribution,
     )
     .unwrap_or_else(|e| panic!("{ctx}: save failed: {e}"));

@@ -17,7 +17,7 @@ use cobra_bench::sampling::{
     derive_plan, parse_plan, render_plan, run_sampled, slice_ckpt_name, SampleMode,
 };
 use cobra_core::obs::interval::SIG_BUCKETS;
-use cobra_uarch::{config_hash, save_checkpoint, CbmFile, CbmMeta, CbsMeta, Core, CoreConfig};
+use cobra_uarch::{run_identity, save_checkpoint, CbmFile, CbmMeta, CbsMeta, Core, CoreConfig};
 use cobra_workloads::kernels;
 use std::path::PathBuf;
 
@@ -37,17 +37,14 @@ fn telemetered_run() -> (CbmFile, f64, f64) {
     let series = core.take_intervals().expect("interval engine was armed");
     let cbm = CbmFile {
         meta: CbmMeta {
-            design: design.name.clone(),
-            topology: design.topology.clone(),
-            config_hash: config_hash(&design, &cfg),
-            workload: spec.name.clone(),
+            id: run_identity(&design, &cfg, &spec.name),
             warmup_insts: WARMUP,
             interval_n: series.interval_n,
             sig_buckets: SIG_BUCKETS as u64,
         },
         labels: series.labels,
         records: series.records,
-        totals_host: report.counters.to_host(),
+        totals_host: report.counters,
         totals_attr: report.attribution.clone(),
     };
     (cbm, report.counters.mpki(), report.counters.ipc())

@@ -15,7 +15,7 @@ use cobra_bench::serve::cache::WarmCache;
 use cobra_bench::serve::exec::{execute_job, warmup_for, CacheDisposition};
 use cobra_bench::workload_by_name;
 use cobra_core::composer::Design;
-use cobra_uarch::{config_hash, CbrMeta, CoreConfig};
+use cobra_uarch::{run_identity, CbrMeta, CoreConfig};
 
 const INSTS: u64 = 5_000;
 
@@ -31,10 +31,7 @@ fn design() -> Design {
 
 fn meta_for(design: &Design, cfg: &CoreConfig, workload: &str, insts: u64) -> CbrMeta {
     CbrMeta {
-        design: design.name.clone(),
-        topology: design.topology.clone(),
-        config_hash: config_hash(design, cfg),
-        workload: workload.to_string(),
+        id: run_identity(design, cfg, workload),
         insts,
         warmup_insts: warmup_for(insts),
     }
@@ -120,7 +117,7 @@ fn identity_mismatch_never_hits() {
     // force the stored hash into the name) — the header identity check
     // must still refuse it.
     let mut forged = stored.clone();
-    forged.design = "Forged".into();
+    forged.id.design = "Forged".into();
     let before = cache.stats.rejected.load(Ordering::Relaxed);
     assert!(cache.lookup_result(&forged).is_none());
     assert_eq!(

@@ -6,6 +6,7 @@
 //! human-readable (with a caret line under the topology) and as JSON.
 
 use crate::error::Span;
+use crate::obs::trace::json_str;
 use std::fmt;
 
 /// Diagnostic severity.
@@ -396,25 +397,6 @@ impl fmt::Display for Diagnostic {
         }
         Ok(())
     }
-}
-
-/// Minimal JSON string escaping (the analyzer has no serde dependency).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 use super::diagnostics::{DiagCode, Diagnostic};
 use crate::composer::{ComponentRegistry, Topology};
 use crate::error::{ComposeError, Span};
-use crate::iface::FieldProfile;
+use crate::iface::{Component, FieldProfile};
 
 /// Static facts about one component instance in a topology.
 #[derive(Debug, Clone)]

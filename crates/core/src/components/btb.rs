@@ -12,7 +12,7 @@ use crate::iface::{
 };
 use crate::types::{BranchKind, Meta, PredictionBundle, StorageReport};
 use cobra_sim::bits;
-use cobra_sim::{PortKind, SnapError, SramModel, StateReader, StateWriter};
+use cobra_sim::{ContainerError, PortKind, SramModel, StateReader, StateWriter};
 
 /// Configuration for a [`Btb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,7 +283,7 @@ impl Component for Btb {
         }
     }
 
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         self.victim_ptr = r.read_u64("btb victim ptr")?;
         for way in &mut self.ways {
             way.load_state(r, |r| {

@@ -13,7 +13,8 @@ use crate::iface::{
 use crate::types::{Meta, PredictionBundle, StorageReport};
 use cobra_sim::bits;
 use cobra_sim::{
-    HistoryRegister, PortKind, SaturatingCounter, SnapError, SramModel, StateReader, StateWriter,
+    ContainerError, HistoryRegister, PortKind, SaturatingCounter, SramModel, StateReader,
+    StateWriter,
 };
 
 /// Configuration for a [`Gtag`].
@@ -267,7 +268,7 @@ impl Component for Gtag {
         });
     }
 
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         self.table.load_state(r, |r| {
             let valid = r.read_bool("gtag valid")?;
             let tag = r.read_u64("gtag tag")?;

@@ -19,7 +19,8 @@ use crate::iface::{
 use crate::types::{BranchKind, Meta, PredictionBundle, StorageReport};
 use cobra_sim::bits;
 use cobra_sim::{
-    HistoryRegister, PortKind, SaturatingCounter, SnapError, SramModel, StateReader, StateWriter,
+    ContainerError, HistoryRegister, PortKind, SaturatingCounter, SramModel, StateReader,
+    StateWriter,
 };
 
 /// Configuration for an [`Ittage`].
@@ -337,7 +338,7 @@ impl Component for Ittage {
         }
     }
 
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         for table in &mut self.tables {
             table.load_state(r, |r| {
                 Ok(ItEntry {

@@ -18,7 +18,7 @@ use crate::iface::{
 };
 use crate::types::{BranchKind, Meta, PredictionBundle, StorageReport};
 use cobra_sim::bits;
-use cobra_sim::{SnapError, StateReader, StateWriter};
+use cobra_sim::{ContainerError, StateReader, StateWriter};
 
 /// Configuration for a [`LoopPredictor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -304,7 +304,7 @@ impl Component for LoopPredictor {
         }
     }
 
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         for e in &mut self.entries {
             e.valid = r.read_bool("loop valid")?;
             e.tag = r.read_u64("loop tag")?;

@@ -17,7 +17,7 @@ use crate::iface::{
 };
 use crate::types::{Meta, PredictionBundle, StorageReport};
 use cobra_sim::bits;
-use cobra_sim::{PortKind, SnapError, SramModel, StateReader, StateWriter};
+use cobra_sim::{ContainerError, PortKind, SramModel, StateReader, StateWriter};
 
 /// Configuration for a [`Perceptron`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,12 +223,12 @@ impl Component for Perceptron {
         });
     }
 
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         let row_len = self.cfg.hist_len as u64 + 1;
         self.weights.load_state(r, |r| {
             let n = r.read_u64_capped("weight row length", row_len)?;
             if n != row_len {
-                return Err(SnapError::BadValue {
+                return Err(ContainerError::BadValue {
                     what: "weight row length",
                     got: n,
                 });
@@ -237,7 +237,7 @@ impl Component for Perceptron {
             for _ in 0..n {
                 let v = r.read_i64("perceptron weight")?;
                 if i16::try_from(v).is_err() {
-                    return Err(SnapError::Shape {
+                    return Err(ContainerError::Shape {
                         detail: format!("perceptron weight {v} exceeds i16 range"),
                     });
                 }

@@ -14,7 +14,7 @@ use crate::iface::{
 };
 use crate::types::{Meta, PredictionBundle, StorageReport};
 use cobra_sim::bits;
-use cobra_sim::{PortKind, SnapError, SramModel, StateReader, StateWriter};
+use cobra_sim::{ContainerError, PortKind, SramModel, StateReader, StateWriter};
 
 /// Configuration for a [`StatisticalCorrector`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -278,11 +278,11 @@ impl Component for StatisticalCorrector {
         }
     }
 
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         for table in &mut self.tables {
             table.load_state(r, |r| {
                 let v = r.read_i64("corrector counter")?;
-                i8::try_from(v).map_err(|_| SnapError::Shape {
+                i8::try_from(v).map_err(|_| ContainerError::Shape {
                     detail: format!("corrector counter {v} exceeds i8 range"),
                 })
             })?;

@@ -26,7 +26,7 @@ use crate::iface::{
 use crate::types::{Meta, PredictionBundle, StorageReport, MAX_FETCH_WIDTH};
 use cobra_sim::bits;
 use cobra_sim::{
-    HistoryRegister, PortKind, SaturatingCounter, SnapError, Snapshot, SplitMix64, SramModel,
+    ContainerError, HistoryRegister, PortKind, SaturatingCounter, Snapshot, SplitMix64, SramModel,
     StateReader, StateWriter,
 };
 
@@ -500,7 +500,7 @@ impl Component for Tage {
         }
     }
 
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         let ua = r.read_u64_capped("tage use_alt_on_na", 0xff)?;
         self.use_alt_on_na.set(ua as u8);
         self.update_count = r.read_u64("tage update count")?;

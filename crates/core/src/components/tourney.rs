@@ -13,7 +13,7 @@ use crate::iface::{
 };
 use crate::types::{Meta, PredictionBundle, StorageReport};
 use cobra_sim::bits;
-use cobra_sim::{PortKind, SaturatingCounter, SnapError, SramModel, StateReader, StateWriter};
+use cobra_sim::{ContainerError, PortKind, SaturatingCounter, SramModel, StateReader, StateWriter};
 
 /// Configuration for a [`Tourney`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -264,7 +264,7 @@ impl Component for Tourney {
             .save_state(w, |w, &c| w.write_u64(u64::from(c)));
     }
 
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         self.chooser
             .load_state(r, |r| Ok(r.read_u64_capped("chooser counter", 0xff)? as u8))
     }

@@ -9,7 +9,7 @@
 
 use crate::iface::{Component, FieldProfile, FieldSet, PredictQuery, Response, UpdateEvent};
 use crate::types::{BranchKind, Meta, PredictionBundle, StorageReport};
-use cobra_sim::{SaturatingCounter, SnapError, StateReader, StateWriter};
+use cobra_sim::{ContainerError, SaturatingCounter, StateReader, StateWriter};
 
 /// Configuration for a [`MicroBtb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,13 +184,13 @@ impl Component for MicroBtb {
         }
     }
 
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         self.victim_ptr = r.read_u64("ubtb victim ptr")? as usize;
         for e in &mut self.entries {
             e.valid = r.read_bool("ubtb valid")?;
             e.pc = r.read_u64("ubtb pc")?;
             let code = r.read_u64("ubtb kind")?;
-            e.kind = BranchKind::from_code(code).ok_or(SnapError::BadValue {
+            e.kind = BranchKind::from_code(code).ok_or(ContainerError::BadValue {
                 what: "ubtb kind",
                 got: code,
             })?;

@@ -47,7 +47,7 @@ use crate::obs::trace::{TraceEvent, TraceEventKind, TraceSink};
 use crate::obs::{AttributionReport, DecisionField, PcBlame, StatsSink};
 use crate::types::{BranchKind, Meta, PredictionBundle, StorageReport, SLOT_BYTES};
 use cobra_sim::{
-    HistoryRegister, HistorySnapshot, SnapError, Snapshot, StateReader, StateWriter, TokenSlab,
+    ContainerError, HistoryRegister, HistorySnapshot, Snapshot, StateReader, StateWriter, TokenSlab,
 };
 
 /// Identifies an in-flight fetch packet (its history-file token).
@@ -938,9 +938,9 @@ impl BranchPredictorUnit {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] when the payload is malformed or was
+    /// Returns a [`ContainerError`] when the payload is malformed or was
     /// written by a pipeline with different node labels or table shapes.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         r.open_section("bpu")?;
         self.cycle = r.read_u64("bpu cycle")?;
         self.stats.queries = r.read_u64("bpu queries")?;

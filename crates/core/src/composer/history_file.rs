@@ -10,7 +10,7 @@ use crate::iface::SlotResolution;
 use crate::obs::PacketAttribution;
 use crate::types::{Meta, PredictionBundle, StorageReport, MAX_FETCH_WIDTH};
 use cobra_sim::{
-    CircularBuffer, HistorySnapshot, PortKind, SnapError, SramSpec, StateReader, StateWriter,
+    CircularBuffer, ContainerError, HistorySnapshot, PortKind, SramSpec, StateReader, StateWriter,
 };
 
 /// Lifecycle phase of a history-file entry.
@@ -106,8 +106,8 @@ impl HistoryFileEntry {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input.
-    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
+    /// Returns a [`ContainerError`] on malformed input.
+    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
         let pc = r.read_u64("entry pc")?;
         let phase = match r.read_u64_capped("entry phase", 1)? {
             0 => EntryPhase::Fetching,
@@ -162,7 +162,10 @@ fn encode_opt_u8(v: Option<u8>) -> u64 {
     }
 }
 
-fn decode_opt_u8(r: &mut StateReader<'_>, what: &'static str) -> Result<Option<u8>, SnapError> {
+fn decode_opt_u8(
+    r: &mut StateReader<'_>,
+    what: &'static str,
+) -> Result<Option<u8>, ContainerError> {
     match r.read_u64_capped(what, 0x100)? {
         0 => Ok(None),
         v => Ok(Some((v - 1) as u8)),
@@ -327,8 +330,8 @@ impl HistoryFile {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    /// Returns a [`ContainerError`] on malformed input.
+    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         self.entries.load_state(r, HistoryFileEntry::load_state)
     }
 

@@ -20,11 +20,11 @@ use crate::composer::plan::{ComponentKind, ExecutionPlan, PlanScratch};
 use crate::composer::registry::{ComponentRegistry, Design};
 use crate::composer::topology::Topology;
 use crate::error::{ComposeError, Span};
-use crate::iface::{FireEvent, HistoryView, PredictQuery, Response, UpdateEvent};
+use crate::iface::{Component, FireEvent, HistoryView, PredictQuery, Response, UpdateEvent};
 use crate::obs::interval::NodeProfiler;
 use crate::obs::{PacketAttribution, MAX_TRACKED_COMPONENTS, NO_PROVIDER};
 use crate::types::{Meta, PredictionBundle, SlotPrediction, StorageReport};
-use cobra_sim::{SnapError, StateReader, StateWriter};
+use cobra_sim::{ContainerError, StateReader, StateWriter};
 use std::time::Instant;
 
 /// Maximum supported pipeline depth (response latency of the slowest
@@ -685,9 +685,9 @@ impl PredictorPipeline {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] when a section name does not match this
+    /// Returns a [`ContainerError`] when a section name does not match this
     /// pipeline's node order or a component rejects its payload.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         for node in &mut self.nodes {
             r.open_section(&node.label)?;
             node.component.load_state(r)?;

@@ -31,7 +31,7 @@ use crate::iface::{
     Component, FieldProfile, FireEvent, IndexDescriptor, PredictQuery, Response, UpdateEvent,
 };
 use crate::types::{AccessReport, Meta, PredictionBundle, StorageReport};
-use cobra_sim::{SnapError, StateReader, StateWriter};
+use cobra_sim::{ContainerError, StateReader, StateWriter};
 
 /// A predictor sub-component with monomorphized dispatch for the stock
 /// library.
@@ -69,7 +69,8 @@ pub enum ComponentKind {
 }
 
 /// Expands to a `match` delegating to the payload of every variant, so
-/// each inherent method below is a single enum dispatch over direct calls.
+/// each method of the `Component` impl below is a single enum dispatch
+/// over direct calls.
 macro_rules! dispatch {
     ($self:expr, $c:ident => $body:expr) => {
         match $self {
@@ -124,78 +125,58 @@ impl ComponentKind {
     pub fn is_custom(&self) -> bool {
         matches!(self, ComponentKind::Custom(_))
     }
+}
 
-    /// See [`Component::kind`].
+/// Every method is one enum dispatch over direct (inlineable) calls to
+/// the stock components; only [`ComponentKind::Custom`] calls through a
+/// vtable. The pipeline's hot path calls these through the enum, and the
+/// same impl drops a `ComponentKind` into any trait-object context
+/// (conformance checkers, user harnesses).
+impl Component for ComponentKind {
     #[inline]
-    pub fn kind(&self) -> &'static str {
+    fn kind(&self) -> &'static str {
         dispatch!(self, c => c.kind())
     }
-
-    /// See [`Component::label`].
-    pub fn label(&self) -> String {
+    fn label(&self) -> String {
         dispatch!(self, c => c.label())
     }
-
-    /// See [`Component::latency`].
     #[inline]
-    pub fn latency(&self) -> u8 {
+    fn latency(&self) -> u8 {
         dispatch!(self, c => c.latency())
     }
-
-    /// See [`Component::arity`].
-    pub fn arity(&self) -> usize {
+    fn arity(&self) -> usize {
         dispatch!(self, c => c.arity())
     }
-
-    /// See [`Component::meta_bits`].
-    pub fn meta_bits(&self) -> u32 {
+    fn meta_bits(&self) -> u32 {
         dispatch!(self, c => c.meta_bits())
     }
-
-    /// See [`Component::local_history_bits`].
-    pub fn local_history_bits(&self) -> u32 {
+    fn local_history_bits(&self) -> u32 {
         dispatch!(self, c => c.local_history_bits())
     }
-
-    /// See [`Component::field_profile`].
-    pub fn field_profile(&self) -> FieldProfile {
+    fn field_profile(&self) -> FieldProfile {
         dispatch!(self, c => c.field_profile())
     }
-
-    /// See [`Component::required_ghist_bits`].
-    pub fn required_ghist_bits(&self) -> u32 {
+    fn required_ghist_bits(&self) -> u32 {
         dispatch!(self, c => c.required_ghist_bits())
     }
-
-    /// See [`Component::index_functions`].
-    pub fn index_functions(&self) -> Vec<IndexDescriptor> {
+    fn index_functions(&self) -> Vec<IndexDescriptor> {
         dispatch!(self, c => c.index_functions())
     }
-
-    /// See [`Component::storage`].
-    pub fn storage(&self) -> StorageReport {
+    fn storage(&self) -> StorageReport {
         dispatch!(self, c => c.storage())
     }
-
-    /// See [`Component::accesses`].
-    pub fn accesses(&self) -> Vec<AccessReport> {
+    fn accesses(&self) -> Vec<AccessReport> {
         dispatch!(self, c => c.accesses())
     }
-
-    /// See [`Component::port_violations`].
-    pub fn port_violations(&self) -> usize {
+    fn port_violations(&self) -> usize {
         dispatch!(self, c => c.port_violations())
     }
-
-    /// See [`Component::predict`].
     #[inline]
-    pub fn predict(&mut self, q: &PredictQuery<'_>) -> Response {
+    fn predict(&mut self, q: &PredictQuery<'_>) -> Response {
         dispatch!(self, c => c.predict(q))
     }
-
-    /// See [`Component::compose`].
     #[inline]
-    pub fn compose(
+    fn compose(
         &self,
         width: u8,
         own: Option<&Response>,
@@ -203,120 +184,31 @@ impl ComponentKind {
     ) -> PredictionBundle {
         dispatch!(self, c => c.compose(width, own, inputs))
     }
-
-    /// See [`Component::finalize_meta`].
     #[inline]
-    pub fn finalize_meta(&self, own: &Response, inputs: &[PredictionBundle]) -> Meta {
+    fn finalize_meta(&self, own: &Response, inputs: &[PredictionBundle]) -> Meta {
         dispatch!(self, c => c.finalize_meta(own, inputs))
     }
-
-    /// See [`Component::fire`].
     #[inline]
-    pub fn fire(&mut self, ev: &FireEvent<'_>) {
+    fn fire(&mut self, ev: &FireEvent<'_>) {
         dispatch!(self, c => c.fire(ev))
     }
-
-    /// See [`Component::mispredict`].
     #[inline]
-    pub fn mispredict(&mut self, ev: &UpdateEvent<'_>) {
+    fn mispredict(&mut self, ev: &UpdateEvent<'_>) {
         dispatch!(self, c => c.mispredict(ev))
     }
-
-    /// See [`Component::repair`].
     #[inline]
-    pub fn repair(&mut self, ev: &FireEvent<'_>) {
+    fn repair(&mut self, ev: &FireEvent<'_>) {
         dispatch!(self, c => c.repair(ev))
     }
-
-    /// See [`Component::update`].
     #[inline]
-    pub fn update(&mut self, ev: &UpdateEvent<'_>) {
+    fn update(&mut self, ev: &UpdateEvent<'_>) {
         dispatch!(self, c => c.update(ev))
     }
-
-    /// See [`Component::save_state`].
-    pub fn save_state(&self, w: &mut StateWriter) {
+    fn save_state(&self, w: &mut StateWriter) {
         dispatch!(self, c => c.save_state(w))
     }
-
-    /// See [`Component::load_state`].
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         dispatch!(self, c => c.load_state(r))
-    }
-}
-
-/// [`ComponentKind`] is itself a [`Component`], so it drops into any
-/// trait-object context (conformance checkers, user harnesses). The
-/// pipeline never calls through this impl — its hot path uses the
-/// inherent enum-dispatch methods, which take precedence at call sites.
-impl Component for ComponentKind {
-    fn kind(&self) -> &'static str {
-        ComponentKind::kind(self)
-    }
-    fn label(&self) -> String {
-        ComponentKind::label(self)
-    }
-    fn latency(&self) -> u8 {
-        ComponentKind::latency(self)
-    }
-    fn arity(&self) -> usize {
-        ComponentKind::arity(self)
-    }
-    fn meta_bits(&self) -> u32 {
-        ComponentKind::meta_bits(self)
-    }
-    fn local_history_bits(&self) -> u32 {
-        ComponentKind::local_history_bits(self)
-    }
-    fn field_profile(&self) -> FieldProfile {
-        ComponentKind::field_profile(self)
-    }
-    fn required_ghist_bits(&self) -> u32 {
-        ComponentKind::required_ghist_bits(self)
-    }
-    fn index_functions(&self) -> Vec<IndexDescriptor> {
-        ComponentKind::index_functions(self)
-    }
-    fn storage(&self) -> StorageReport {
-        ComponentKind::storage(self)
-    }
-    fn accesses(&self) -> Vec<AccessReport> {
-        ComponentKind::accesses(self)
-    }
-    fn port_violations(&self) -> usize {
-        ComponentKind::port_violations(self)
-    }
-    fn predict(&mut self, q: &PredictQuery<'_>) -> Response {
-        ComponentKind::predict(self, q)
-    }
-    fn compose(
-        &self,
-        width: u8,
-        own: Option<&Response>,
-        inputs: &[PredictionBundle],
-    ) -> PredictionBundle {
-        ComponentKind::compose(self, width, own, inputs)
-    }
-    fn finalize_meta(&self, own: &Response, inputs: &[PredictionBundle]) -> Meta {
-        ComponentKind::finalize_meta(self, own, inputs)
-    }
-    fn fire(&mut self, ev: &FireEvent<'_>) {
-        ComponentKind::fire(self, ev)
-    }
-    fn mispredict(&mut self, ev: &UpdateEvent<'_>) {
-        ComponentKind::mispredict(self, ev)
-    }
-    fn repair(&mut self, ev: &FireEvent<'_>) {
-        ComponentKind::repair(self, ev)
-    }
-    fn update(&mut self, ev: &UpdateEvent<'_>) {
-        ComponentKind::update(self, ev)
-    }
-    fn save_state(&self, w: &mut StateWriter) {
-        ComponentKind::save_state(self, w)
-    }
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
-        ComponentKind::load_state(self, r)
     }
 }
 

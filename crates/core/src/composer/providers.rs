@@ -8,8 +8,8 @@
 
 use crate::types::StorageReport;
 use cobra_sim::{
-    bits, HistoryRegister, HistorySnapshot, PortKind, SnapError, Snapshot, SramModel, StateReader,
-    StateWriter,
+    bits, ContainerError, HistoryRegister, HistorySnapshot, PortKind, Snapshot, SramModel,
+    StateReader, StateWriter,
 };
 
 /// The speculative global-history register.
@@ -83,7 +83,7 @@ impl Snapshot for GlobalHistoryProvider {
         self.spec.save_state(w);
     }
 
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         self.spec.load_state(r)
     }
 }
@@ -197,12 +197,12 @@ impl Snapshot for LocalHistoryProvider {
         self.table.save_state(w, |w, &h| w.write_u64(h));
     }
 
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         let mask = bits::mask(self.bits);
         self.table.load_state(r, |r| {
             let h = r.read_u64("local history")?;
             if h & !mask != 0 {
-                return Err(SnapError::BadValue {
+                return Err(ContainerError::BadValue {
                     what: "local history",
                     got: h,
                 });
@@ -274,10 +274,10 @@ impl Snapshot for PathHistoryProvider {
         w.write_u64(self.value);
     }
 
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         let v = r.read_u64("path history")?;
         if v & !bits::mask(self.bits) != 0 {
-            return Err(SnapError::BadValue {
+            return Err(ContainerError::BadValue {
                 what: "path history",
                 got: v,
             });

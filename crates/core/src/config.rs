@@ -9,7 +9,10 @@
 //!
 //! [`Config::from_vars`] is the pure parser. [`get`] is the process
 //! value, resolved from the environment on first use, which is when any
-//! warnings are printed. This module is the only place that reads the
+//! warnings are printed. A set `COBRA_*` variable that is neither a knob
+//! nor one of the [`HARNESS_VARS`] (a retired knob, or a typo) gets one
+//! warning then too ([`unknown_var_warnings`]), instead of being
+//! silently ignored. This module is the only place that reads the
 //! environment; tests that vary a knob in-process call [`set`] with a
 //! modified copy of [`get`] instead of mutating the environment.
 //!
@@ -75,6 +78,25 @@ pub const KNOBS: [Knob; 15] = [
     knob("COBRA_PROGRESS", Rule::Count, "unset", "per-job heartbeat period; 0 means off"),
     knob("COBRA_PROFILE", Rule::Flag, "off", "arm the plan-node self-profiler"),
 ];
+
+/// The `COBRA_*` variables read outside the library: the "Test harness"
+/// table of `docs/CONFIG.md`. They are not knobs, but setting one is not
+/// a mistake either.
+pub const HARNESS_VARS: [&str; 1] = ["COBRA_GOLDEN_BLESS"];
+
+/// One warning for each `COBRA_*` name in `names` that is neither in
+/// [`KNOBS`] nor in [`HARNESS_VARS`]; other names are not ours and pass
+/// silently.
+pub fn unknown_var_warnings<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<String> {
+    names
+        .into_iter()
+        .filter(|name| name.starts_with("COBRA_"))
+        .filter(|name| !KNOBS.iter().any(|k| k.name == *name) && !HARNESS_VARS.contains(name))
+        .map(|name| {
+            format!("warning: {name} is not a COBRA_* knob (see docs/CONFIG.md); ignoring it")
+        })
+        .collect()
+}
 
 /// The resolved value of every knob, one typed field each; see
 /// [`KNOBS`] for the clamps and "0 means off" already applied.
@@ -268,7 +290,12 @@ pub fn get() -> Arc<Config> {
     }
     let mut slot = CURRENT.write().unwrap_or_else(PoisonError::into_inner);
     Arc::clone(slot.get_or_insert_with(|| {
-        let (config, warnings) = Config::from_vars(|name| std::env::var_os(name));
+        let (config, mut warnings) = Config::from_vars(|name| std::env::var_os(name));
+        let mut names: Vec<String> = std::env::vars_os()
+            .map(|(name, _)| name.to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        warnings.extend(unknown_var_warnings(names.iter().map(String::as_str)));
         for w in &warnings {
             eprintln!("{w}");
         }

@@ -19,7 +19,7 @@
 //!   ([`Component::compose`], Section III-F).
 
 use crate::types::{AccessReport, BranchKind, Meta, PredictionBundle, StorageReport};
-use cobra_sim::{HistoryRegister, SnapError, StateReader, StateWriter};
+use cobra_sim::{ContainerError, HistoryRegister, StateReader, StateWriter};
 
 /// The history vectors available to a component from the end of Fetch-1.
 #[derive(Debug, Clone, Copy)]
@@ -92,11 +92,11 @@ impl SlotResolution {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input.
-    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
+    /// Returns a [`ContainerError`] on malformed input.
+    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
         let slot = r.read_u64_capped("resolution slot", 0xff)? as u8;
         let code = r.read_u64("resolution kind")?;
-        let kind = BranchKind::from_code(code).ok_or(SnapError::BadValue {
+        let kind = BranchKind::from_code(code).ok_or(ContainerError::BadValue {
             what: "resolution kind",
             got: code,
         })?;
@@ -444,9 +444,9 @@ pub trait Component {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] if the stream is malformed or does not fit
+    /// Returns a [`ContainerError`] if the stream is malformed or does not fit
     /// this component's shape; the component must then be discarded.
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError>;
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError>;
 }
 
 #[cfg(test)]
@@ -482,7 +482,7 @@ mod tests {
         fn save_state(&self, w: &mut StateWriter) {
             w.write_bool(self.taken);
         }
-        fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+        fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
             self.taken = r.read_bool("fixed taken")?;
             Ok(())
         }

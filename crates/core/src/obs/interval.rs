@@ -33,6 +33,7 @@
 //! is built, so when off they cost a pointer-null check per use.
 
 use super::AttributionReport;
+use cobra_sim::{ContainerError, StateReader, StateWriter};
 use std::time::Instant;
 
 /// Number of buckets in a phase-signature vector.
@@ -72,39 +73,43 @@ pub fn cosine(a: &[u32], b: &[u32]) -> f64 {
     dot / (na.sqrt() * nb.sqrt())
 }
 
-/// A snapshot (or delta) of the host core's performance counters.
+/// The out-of-band profiling counters the host core maintains (standing
+/// in for FireSim's profiling tools and `perf`): a snapshot, or the delta
+/// between two.
 ///
-/// Mirrors `cobra_uarch::PerfCounters` field for field; duplicated here
-/// because the dependency points the other way (`cobra-uarch` depends
-/// on `cobra-core`). The host core converts at the interval boundary.
+/// `cobra_uarch` re-exports this struct as `PerfCounters`, the counters
+/// of a `PerfReport`; it lives here because the dependency points this
+/// way (`cobra-uarch` depends on `cobra-core`) and every interval record
+/// carries one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostCounters {
-    /// Elapsed core cycles.
+    /// Simulated cycles.
     pub cycles: u64,
-    /// Committed (retired) instructions.
+    /// Architecturally committed instructions.
     pub committed_insts: u64,
     /// Committed conditional branches.
     pub cond_branches: u64,
     /// Committed control-flow instructions of any kind.
     pub cfis: u64,
-    /// Resolved conditional direction mispredicts.
+    /// Conditional-branch direction mispredictions.
     pub cond_mispredicts: u64,
-    /// Resolved target mispredicts.
+    /// Target mispredictions (BTB/RAS/indirect).
     pub target_mispredicts: u64,
-    /// Pipeline redirects from override (late-stage) corrections.
+    /// Frontend override redirects (a later stage changed the prediction).
     pub override_redirects: u64,
-    /// History replays after squashes.
+    /// Fetch replays forced by global-history repair (Section VI-B).
     pub history_replays: u64,
-    /// Fetch bubbles injected.
+    /// Cycles fetch produced nothing (bubbles of any cause).
     pub fetch_bubbles: u64,
-    /// Cycles the front end stalled on instruction fetch.
+    /// Cycles fetch stalled on the instruction cache.
     pub icache_stall_cycles: u64,
-    /// Cycles commit stalled on a full reorder buffer.
+    /// Cycles dispatch stalled on a full ROB.
     pub rob_stall_cycles: u64,
 }
 
 impl HostCounters {
-    /// Field-wise difference `self − earlier`.
+    /// Field-wise difference `self − earlier`, for warm-up exclusion and
+    /// interval deltas.
     pub fn delta(&self, earlier: &HostCounters) -> HostCounters {
         HostCounters {
             cycles: self.cycles - earlier.cycles,
@@ -137,12 +142,12 @@ impl HostCounters {
         self.rob_stall_cycles += d.rob_stall_cycles;
     }
 
-    /// Total mispredicted branches (direction + target).
+    /// All branch mispredictions (direction + target).
     pub fn branch_misses(&self) -> u64 {
         self.cond_mispredicts + self.target_mispredicts
     }
 
-    /// Mispredicts per kilo-instruction over this delta.
+    /// Branch misses per kilo-instruction — the Fig 10 metric.
     pub fn mpki(&self) -> f64 {
         if self.committed_insts == 0 {
             return 0.0;
@@ -150,12 +155,20 @@ impl HostCounters {
         self.branch_misses() as f64 * 1000.0 / self.committed_insts as f64
     }
 
-    /// Instructions per cycle over this delta.
+    /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
             return 0.0;
         }
         self.committed_insts as f64 / self.cycles as f64
+    }
+
+    /// Conditional-branch prediction accuracy in percent.
+    pub fn branch_accuracy(&self) -> f64 {
+        if self.cond_branches == 0 {
+            return 100.0;
+        }
+        100.0 * (1.0 - self.cond_mispredicts as f64 / self.cond_branches as f64)
     }
 
     /// The counters as a fixed-order array (the `.cbm` wire order).
@@ -190,6 +203,45 @@ impl HostCounters {
             icache_stall_cycles: a[9],
             rob_stall_cycles: a[10],
         }
+    }
+
+    /// Serializes the counters into a checkpoint stream.
+    pub fn save_state(&self, w: &mut StateWriter) {
+        for v in self.to_array() {
+            w.write_u64(v);
+        }
+    }
+
+    /// Decodes counters written by [`save_state`](Self::save_state).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ContainerError`] on malformed input.
+    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
+        Ok(Self {
+            cycles: r.read_u64("perf cycles")?,
+            committed_insts: r.read_u64("perf committed insts")?,
+            cond_branches: r.read_u64("perf cond branches")?,
+            cfis: r.read_u64("perf cfis")?,
+            cond_mispredicts: r.read_u64("perf cond mispredicts")?,
+            target_mispredicts: r.read_u64("perf target mispredicts")?,
+            override_redirects: r.read_u64("perf override redirects")?,
+            history_replays: r.read_u64("perf history replays")?,
+            fetch_bubbles: r.read_u64("perf fetch bubbles")?,
+            icache_stall_cycles: r.read_u64("perf icache stalls")?,
+            rob_stall_cycles: r.read_u64("perf rob stalls")?,
+        })
+    }
+
+    /// Returns a copy: `PerfCounters` and `HostCounters` are one struct.
+    /// Kept only because `perfbench` still calls it.
+    pub fn to_host(&self) -> HostCounters {
+        *self
+    }
+
+    /// Returns a copy, as [`to_host`](Self::to_host) does.
+    pub fn from_host(h: &HostCounters) -> Self {
+        *h
     }
 }
 

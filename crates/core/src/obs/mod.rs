@@ -34,7 +34,7 @@ pub mod interval;
 pub mod trace;
 
 use crate::types::{BranchKind, PredictionBundle, SlotPrediction, MAX_FETCH_WIDTH};
-use cobra_sim::{SnapError, StateReader, StateWriter};
+use cobra_sim::{ContainerError, StateReader, StateWriter};
 use std::collections::BTreeMap;
 
 /// Sentinel provider index: no component provided the field.
@@ -180,8 +180,8 @@ impl PacketAttribution {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input.
-    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
+    /// Returns a [`ContainerError`] on malformed input.
+    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
         let mut a = PacketAttribution::EMPTY;
         for arr in [
             &mut a.kind_provider,
@@ -606,8 +606,8 @@ impl StatsSink {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    /// Returns a [`ContainerError`] on malformed input.
+    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         r.open_section("stats")?;
         for c in &mut self.counters {
             c.queries = r.read_u64("row queries")?;

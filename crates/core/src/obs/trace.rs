@@ -315,7 +315,10 @@ impl Drop for TraceSink {
     }
 }
 
-fn json_str(s: &str) -> String {
+/// Escapes `s` as a JSON string literal, including the surrounding
+/// quotes: the one escaper behind every JSON surface (the event trace,
+/// the analyzer's reports, `cobra_bench::jsonv::escape`).
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -1,6 +1,6 @@
 //! Common value types of the COBRA predictor interface.
 
-use cobra_sim::{SnapError, SramSpec, StateReader, StateWriter};
+use cobra_sim::{ContainerError, SramSpec, StateReader, StateWriter};
 use std::fmt;
 
 /// Maximum supported fetch-packet width in prediction slots.
@@ -67,14 +67,14 @@ impl BranchKind {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapError::BadValue`] for codes outside the kind range.
-    pub fn decode_opt(v: u64) -> Result<Option<BranchKind>, SnapError> {
+    /// Returns [`ContainerError::BadValue`] for codes outside the kind range.
+    pub fn decode_opt(v: u64) -> Result<Option<BranchKind>, ContainerError> {
         if v == 0 {
             return Ok(None);
         }
         BranchKind::from_code(v - 1)
             .map(Some)
-            .ok_or(SnapError::BadValue {
+            .ok_or(ContainerError::BadValue {
                 what: "branch kind",
                 got: v,
             })
@@ -190,8 +190,8 @@ impl SlotPrediction {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input.
-    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
+    /// Returns a [`ContainerError`] on malformed input.
+    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
         let kind = BranchKind::decode_opt(r.read_u64("slot kind")?)?;
         let taken = match r.read_u64_capped("slot taken", 2)? {
             0 => None,
@@ -346,12 +346,12 @@ impl PredictionBundle {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input or an out-of-range
+    /// Returns a [`ContainerError`] on malformed input or an out-of-range
     /// width.
-    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
+    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
         let width = r.read_u64("bundle width")?;
         if !(1..=MAX_FETCH_WIDTH as u64).contains(&width) {
-            return Err(SnapError::BadValue {
+            return Err(ContainerError::BadValue {
                 what: "bundle width",
                 got: width,
             });

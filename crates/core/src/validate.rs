@@ -267,7 +267,7 @@ mod tests {
         fn load_state(
             &mut self,
             _r: &mut cobra_sim::StateReader<'_>,
-        ) -> Result<(), cobra_sim::SnapError> {
+        ) -> Result<(), cobra_sim::ContainerError> {
             Ok(())
         }
     }
@@ -310,7 +310,7 @@ mod tests {
         fn load_state(
             &mut self,
             _r: &mut cobra_sim::StateReader<'_>,
-        ) -> Result<(), cobra_sim::SnapError> {
+        ) -> Result<(), cobra_sim::ContainerError> {
             Ok(())
         }
     }

@@ -9,7 +9,7 @@
 //! random access by token while the entry is live, in-order pop-front, and
 //! bulk truncation of the youngest entries (squash).
 
-use crate::snapshot::{SnapError, StateReader, StateWriter};
+use crate::{ContainerError, StateReader, StateWriter};
 
 /// A bounded ring buffer whose entries are addressed by monotonically
 /// increasing tokens.
@@ -196,18 +196,18 @@ impl<T> CircularBuffer<T> {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] if the stream is malformed or the saved
+    /// Returns a [`ContainerError`] if the stream is malformed or the saved
     /// window exceeds this buffer's capacity.
     pub fn load_state(
         &mut self,
         r: &mut StateReader<'_>,
-        mut item: impl FnMut(&mut StateReader<'_>) -> Result<T, SnapError>,
-    ) -> Result<(), SnapError> {
+        mut item: impl FnMut(&mut StateReader<'_>) -> Result<T, ContainerError>,
+    ) -> Result<(), ContainerError> {
         r.open_section("ring")?;
         let head = r.read_u64("ring head")?;
         let tail = r.read_u64("ring tail")?;
         if tail < head || tail - head > self.capacity() as u64 {
-            return Err(SnapError::Shape {
+            return Err(ContainerError::Shape {
                 detail: format!(
                     "ring window [{head}, {tail}) does not fit capacity {}",
                     self.capacity()

@@ -15,10 +15,12 @@
 //! through the same helpers.
 //!
 //! Caps apply on write as well as on read, so a writer never produces a
-//! file its own reader refuses. The normative specification is
-//! `docs/CONTAINER_FORMAT.md` at the repository root.
+//! file its own reader refuses. [`ContainerError`] is the one error of
+//! every format, the `.cbs` state payload decoded by
+//! [`StateReader`](crate::StateReader) included. The normative
+//! specification is `docs/CONTAINER_FORMAT.md` at the repository root.
 
-use crate::{varint, Crc32c, SnapError};
+use crate::{varint, Crc32c};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -40,9 +42,10 @@ pub struct Format {
     pub max_payload: u64,
 }
 
-/// Everything that can go wrong reading or writing a container. Decode
-/// errors name the structure or identity field at fault, so a stale or
-/// corrupted file is diagnosable and never silently misread.
+/// Everything that can go wrong reading or writing a container, or
+/// decoding a `.cbs` state payload. Decode errors name the structure,
+/// field, section or identity field at fault, so a stale or corrupted
+/// file is diagnosable and never silently misread.
 #[derive(Debug)]
 pub enum ContainerError {
     /// An underlying I/O failure.
@@ -60,8 +63,8 @@ pub enum ContainerError {
     },
     /// The header flags word has bits this implementation does not know.
     UnsupportedFlags(u16),
-    /// The file ended (or a declared length ran out) while reading the
-    /// named structure.
+    /// The file or state payload ended (or a declared length ran out)
+    /// while reading the named structure.
     Truncated {
         /// Which structure was being read.
         what: &'static str,
@@ -91,14 +94,18 @@ pub enum ContainerError {
         /// Which structure was being read.
         what: &'static str,
     },
-    /// A string field is not valid UTF-8.
+    /// A string field (a header name or a state string) is not valid
+    /// UTF-8.
     BadName {
         /// Which string was being read.
         what: &'static str,
     },
-    /// Bytes remain after the footer magic.
+    /// Bytes remain after the last structure: the footer magic, or the
+    /// decoded state of a state payload.
     TrailingBytes {
-        /// How many bytes follow the footer.
+        /// What the bytes follow: `footer magic` or `state payload`.
+        what: &'static str,
+        /// How many bytes are left over.
         count: u64,
     },
     /// The file was written for a different experiment than expected.
@@ -116,8 +123,46 @@ pub enum ContainerError {
         /// What was inconsistent.
         what: &'static str,
     },
-    /// A `.cbs` state payload failed to decode into the core.
-    State(SnapError),
+    /// A state field's type tag did not match the read call.
+    TagMismatch {
+        /// The field the reader expected.
+        expected: &'static str,
+        /// The tag byte actually found.
+        got: u8,
+        /// Byte offset of the unexpected tag in the state payload.
+        at: usize,
+    },
+    /// A state section opened under a different name than the reader
+    /// expected.
+    SectionName {
+        /// The name the reader asked for.
+        expected: String,
+        /// The name stored in the stream.
+        got: String,
+    },
+    /// A state section's read count differed from its written count — a
+    /// component skipped fields, or read fields it never wrote.
+    FieldCount {
+        /// The section's name.
+        section: String,
+        /// Fields the writer recorded.
+        wrote: u64,
+        /// Fields the reader consumed.
+        read: u64,
+    },
+    /// A state field decoded to a semantically invalid value.
+    BadValue {
+        /// The field being decoded.
+        what: &'static str,
+        /// The offending value.
+        got: u64,
+    },
+    /// The decoded state does not fit the structure being restored (for
+    /// example, a history register of a different width).
+    Shape {
+        /// Human-readable description of the mismatch.
+        detail: String,
+    },
     /// A `.cbt` block's CRC-32C does not match its header and payload.
     BlockChecksum {
         /// Zero-based block number.
@@ -200,7 +245,7 @@ impl fmt::Display for ContainerError {
                     "unsupported header flags {bits:#06x} (reserved bits set)"
                 )
             }
-            Self::Truncated { what } => write!(f, "file truncated while reading {what}"),
+            Self::Truncated { what } => write!(f, "truncated while reading {what}"),
             Self::LimitExceeded { what, got, max } => {
                 write!(f, "{what} = {got} exceeds the format limit of {max}")
             }
@@ -211,8 +256,8 @@ impl fmt::Display for ContainerError {
             } => crc(f, what, stored, computed),
             Self::BadVarint { what } => write!(f, "truncated or over-long varint in {what}"),
             Self::BadName { what } => write!(f, "{what} is not valid UTF-8"),
-            Self::TrailingBytes { count } => {
-                write!(f, "{count} trailing bytes after the footer magic")
+            Self::TrailingBytes { what, count } => {
+                write!(f, "{count} trailing bytes after the {what}")
             }
             Self::IdentityMismatch {
                 field,
@@ -220,7 +265,26 @@ impl fmt::Display for ContainerError {
                 expected,
             } => write!(f, "file is for {field} `{stored}`, not `{expected}`"),
             Self::Malformed { what } => write!(f, "malformed payload: {what}"),
-            Self::State(e) => write!(f, "state payload: {e}"),
+            Self::TagMismatch { expected, got, at } => write!(
+                f,
+                "state payload: expected {expected} tag at byte {at}, found 0x{got:02X}"
+            ),
+            Self::SectionName { expected, got } => write!(
+                f,
+                "state payload: expected section {expected:?}, found {got:?}"
+            ),
+            Self::FieldCount {
+                section,
+                wrote,
+                read,
+            } => write!(
+                f,
+                "state payload: section {section:?} wrote {wrote} fields but {read} were read"
+            ),
+            Self::BadValue { what, got } => {
+                write!(f, "state payload: invalid value {got} for {what}")
+            }
+            Self::Shape { detail } => write!(f, "state payload: snapshot shape mismatch: {detail}"),
             Self::BlockChecksum {
                 block,
                 stored,
@@ -244,7 +308,6 @@ impl std::error::Error for ContainerError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Io(e) => Some(e),
-            Self::State(e) => Some(e),
             _ => None,
         }
     }
@@ -253,12 +316,6 @@ impl std::error::Error for ContainerError {
 impl From<io::Error> for ContainerError {
     fn from(e: io::Error) -> Self {
         Self::Io(e)
-    }
-}
-
-impl From<SnapError> for ContainerError {
-    fn from(e: SnapError) -> Self {
-        Self::State(e)
     }
 }
 
@@ -587,7 +644,10 @@ pub fn read_payload<R: Read>(r: &mut R, format: &Format) -> Result<Vec<u8>, Cont
     }
     let count = io::copy(r, &mut io::sink())?;
     if count != 0 {
-        return Err(ContainerError::TrailingBytes { count });
+        return Err(ContainerError::TrailingBytes {
+            what: "footer magic",
+            count,
+        });
     }
     Ok(payload)
 }

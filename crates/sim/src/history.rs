@@ -1,6 +1,6 @@
 //! Wide speculative history registers with snapshot repair.
 
-use crate::snapshot::{SnapError, Snapshot, StateReader, StateWriter};
+use crate::{ContainerError, Snapshot, StateReader, StateWriter};
 
 /// An opaque saved copy of a [`HistoryRegister`], taken at predict time and
 /// restored on misprediction.
@@ -32,9 +32,9 @@ impl HistorySnapshot {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input or an implausible word
+    /// Returns a [`ContainerError`] on malformed input or an implausible word
     /// count.
-    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
+    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
         let nwords = r.read_u64_capped("history snapshot words", 1 << 16)? as usize;
         let mut words = Vec::with_capacity(nwords);
         for _ in 0..nwords {
@@ -219,10 +219,10 @@ impl Snapshot for HistoryRegister {
         }
     }
 
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         let width = r.read_u64("history register width")?;
         if width != u64::from(self.width) {
-            return Err(SnapError::Shape {
+            return Err(ContainerError::Shape {
                 detail: format!("history register width {} != saved {width}", self.width),
             });
         }

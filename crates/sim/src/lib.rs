@@ -57,11 +57,12 @@ pub mod varint;
 
 pub use checksum::{crc32c, Crc32c};
 pub use circular::CircularBuffer;
+pub use container::ContainerError;
 pub use counter::{CounterState, SaturatingCounter};
 pub use fifo::Fifo;
 pub use folded::FoldedHistory;
 pub use history::{HistoryRegister, HistorySnapshot};
 pub use rng::SplitMix64;
 pub use slab::TokenSlab;
-pub use snapshot::{SnapError, Snapshot, StateReader, StateWriter};
+pub use snapshot::{Snapshot, StateReader, StateWriter};
 pub use sram::{PortKind, PortViolation, SramModel, SramSpec};

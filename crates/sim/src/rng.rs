@@ -1,6 +1,6 @@
 //! A tiny deterministic RNG.
 
-use crate::snapshot::{SnapError, Snapshot, StateReader, StateWriter};
+use crate::{ContainerError, Snapshot, StateReader, StateWriter};
 
 /// SplitMix64: a fast, high-quality 64-bit PRNG with a single `u64` of
 /// state.
@@ -63,7 +63,7 @@ impl Snapshot for SplitMix64 {
         w.write_u64(self.state);
     }
 
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         self.state = r.read_u64("rng state")?;
         Ok(())
     }

@@ -17,7 +17,7 @@
 //! panics if a collision with a *live* entry proves the invariant was
 //! violated, rather than silently corrupting state.
 
-use crate::snapshot::{SnapError, StateReader, StateWriter};
+use crate::{ContainerError, StateReader, StateWriter};
 
 /// A bounded map from sequential `u64` tokens to values, backed by a
 /// power-of-two ring.
@@ -203,14 +203,14 @@ impl<T> TokenSlab<T> {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] if the stream is malformed, a token falls
+    /// Returns a [`ContainerError`] if the stream is malformed, a token falls
     /// outside the live window implied by the high-water mark, or the
     /// entry count disagrees with the pairs present.
     pub fn load_state(
         &mut self,
         r: &mut StateReader<'_>,
-        mut item: impl FnMut(&mut StateReader<'_>) -> Result<T, SnapError>,
-    ) -> Result<(), SnapError> {
+        mut item: impl FnMut(&mut StateReader<'_>) -> Result<T, ContainerError>,
+    ) -> Result<(), ContainerError> {
         r.open_section("slab")?;
         let hi = r.read_u64("slab high-water mark")?;
         let len = r.read_u64_capped("slab entry count", self.capacity() as u64)? as usize;
@@ -218,7 +218,7 @@ impl<T> TokenSlab<T> {
         for _ in 0..len {
             let t = r.read_u64("slab token")?;
             if t >= hi || hi - t > self.slots.len() as u64 {
-                return Err(SnapError::Shape {
+                return Err(ContainerError::Shape {
                     detail: format!("slab token {t} outside the live window below {hi}"),
                 });
             }
@@ -226,7 +226,7 @@ impl<T> TokenSlab<T> {
             self.insert(t, v);
         }
         if self.len != len {
-            return Err(SnapError::Shape {
+            return Err(ContainerError::Shape {
                 detail: format!("slab stored {len} entries but {} were distinct", self.len),
             });
         }

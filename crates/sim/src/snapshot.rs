@@ -15,17 +15,19 @@
 //!   tag, every `open_section` validates the section name, and every
 //!   `close_section` compares the number of fields *read* against the
 //!   number *written*. A component that skips a field — or reads one it
-//!   never wrote — fails loudly with a [`SnapError`], never silently
-//!   misinterprets downstream bytes.
+//!   never wrote — fails loudly, never silently misinterprets downstream
+//!   bytes.
 //! * [`Snapshot`] — the save/load trait implemented by every stateful
 //!   simulation structure.
 //!
 //! Writers are infallible (they only append to a `Vec<u8>`); readers are
-//! fallible, returning the precise [`SnapError`] that describes the first
-//! inconsistency encountered.
+//! fallible, returning the [`ContainerError`] that describes the first
+//! inconsistency encountered. That is the containers' one error type;
+//! `TagMismatch`, `SectionName`, `FieldCount`, `BadValue` and `Shape` are
+//! its state-only variants.
 
+use crate::container::ContainerError;
 use crate::varint;
-use std::fmt;
 
 /// Type tag for an unsigned varint field.
 const TAG_U64: u8 = 0xD1;
@@ -42,107 +44,6 @@ const TAG_SEC_END: u8 = 0xD6;
 
 /// Longest section name the reader will accept.
 const MAX_NAME_LEN: usize = 128;
-
-/// A precise decode/validation error from [`StateReader`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapError {
-    /// The buffer ended before `what` could be read.
-    Truncated {
-        /// The structure that ran out of bytes.
-        what: &'static str,
-    },
-    /// A field's type tag did not match the read call.
-    TagMismatch {
-        /// The tag the reader expected.
-        expected: &'static str,
-        /// The tag byte actually found.
-        got: u8,
-        /// Byte offset of the unexpected tag.
-        at: usize,
-    },
-    /// A section opened under a different name than the reader expected.
-    SectionName {
-        /// The name the reader asked for.
-        expected: String,
-        /// The name stored in the stream.
-        got: String,
-    },
-    /// A section's read count differed from its written count — a
-    /// component skipped fields, or read fields it never wrote.
-    FieldCount {
-        /// The section's name.
-        section: String,
-        /// Fields the writer recorded.
-        wrote: u64,
-        /// Fields the reader consumed.
-        read: u64,
-    },
-    /// A varint was truncated or non-canonical.
-    BadVarint {
-        /// The field being decoded.
-        what: &'static str,
-    },
-    /// A length or value exceeded its hard cap.
-    LimitExceeded {
-        /// The field being decoded.
-        what: &'static str,
-        /// The decoded value.
-        got: u64,
-        /// The cap it violated.
-        max: u64,
-    },
-    /// A field decoded to a semantically invalid value.
-    BadValue {
-        /// The field being decoded.
-        what: &'static str,
-        /// The offending value.
-        got: u64,
-    },
-    /// Bytes remained after the final `finish`.
-    TrailingBytes {
-        /// How many bytes were left over.
-        count: usize,
-    },
-    /// The decoded state does not fit the structure being restored (for
-    /// example, a history register of a different width).
-    Shape {
-        /// Human-readable description of the mismatch.
-        detail: String,
-    },
-}
-
-impl fmt::Display for SnapError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Truncated { what } => write!(f, "snapshot truncated reading {what}"),
-            Self::TagMismatch { expected, got, at } => {
-                write!(f, "expected {expected} tag at byte {at}, found 0x{got:02X}")
-            }
-            Self::SectionName { expected, got } => {
-                write!(f, "expected section {expected:?}, found {got:?}")
-            }
-            Self::FieldCount {
-                section,
-                wrote,
-                read,
-            } => write!(
-                f,
-                "section {section:?} wrote {wrote} fields but {read} were read"
-            ),
-            Self::BadVarint { what } => write!(f, "bad varint decoding {what}"),
-            Self::LimitExceeded { what, got, max } => {
-                write!(f, "{what} is {got}, exceeding the cap of {max}")
-            }
-            Self::BadValue { what, got } => write!(f, "invalid value {got} for {what}"),
-            Self::TrailingBytes { count } => {
-                write!(f, "{count} trailing bytes after snapshot state")
-            }
-            Self::Shape { detail } => write!(f, "snapshot shape mismatch: {detail}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapError {}
 
 /// The infallible structured encoder for snapshot state.
 ///
@@ -307,14 +208,14 @@ impl<'a> StateReader<'a> {
         self.scopes.last_mut().expect("root scope always present").1 += 1;
     }
 
-    fn take_tag(&mut self, expected: u8, label: &'static str) -> Result<(), SnapError> {
+    fn take_tag(&mut self, expected: u8, label: &'static str) -> Result<(), ContainerError> {
         let at = self.pos;
         let got = *self
             .buf
             .get(self.pos)
-            .ok_or(SnapError::Truncated { what: label })?;
+            .ok_or(ContainerError::Truncated { what: label })?;
         if got != expected {
-            return Err(SnapError::TagMismatch {
+            return Err(ContainerError::TagMismatch {
                 expected: label,
                 got,
                 at,
@@ -324,12 +225,12 @@ impl<'a> StateReader<'a> {
         Ok(())
     }
 
-    fn varint_u64(&mut self, what: &'static str) -> Result<u64, SnapError> {
-        varint::read_u64(self.buf, &mut self.pos).ok_or(SnapError::BadVarint { what })
+    fn varint_u64(&mut self, what: &'static str) -> Result<u64, ContainerError> {
+        varint::read_u64(self.buf, &mut self.pos).ok_or(ContainerError::BadVarint { what })
     }
 
     /// Reads an unsigned integer field; `what` names it in errors.
-    pub fn read_u64(&mut self, what: &'static str) -> Result<u64, SnapError> {
+    pub fn read_u64(&mut self, what: &'static str) -> Result<u64, ContainerError> {
         self.take_tag(TAG_U64, what)?;
         let v = self.varint_u64(what)?;
         self.bump();
@@ -337,23 +238,24 @@ impl<'a> StateReader<'a> {
     }
 
     /// Reads a signed integer field; `what` names it in errors.
-    pub fn read_i64(&mut self, what: &'static str) -> Result<i64, SnapError> {
+    pub fn read_i64(&mut self, what: &'static str) -> Result<i64, ContainerError> {
         self.take_tag(TAG_I64, what)?;
-        let v = varint::read_i64(self.buf, &mut self.pos).ok_or(SnapError::BadVarint { what })?;
+        let v =
+            varint::read_i64(self.buf, &mut self.pos).ok_or(ContainerError::BadVarint { what })?;
         self.bump();
         Ok(v)
     }
 
     /// Reads a boolean field, rejecting payload bytes other than 0 or 1.
-    pub fn read_bool(&mut self, what: &'static str) -> Result<bool, SnapError> {
+    pub fn read_bool(&mut self, what: &'static str) -> Result<bool, ContainerError> {
         self.take_tag(TAG_BOOL, what)?;
         let b = *self
             .buf
             .get(self.pos)
-            .ok_or(SnapError::Truncated { what })?;
+            .ok_or(ContainerError::Truncated { what })?;
         self.pos += 1;
         if b > 1 {
-            return Err(SnapError::BadValue {
+            return Err(ContainerError::BadValue {
                 what,
                 got: u64::from(b),
             });
@@ -363,20 +265,24 @@ impl<'a> StateReader<'a> {
     }
 
     /// Reads an unsigned integer field and enforces `v <= max`.
-    pub fn read_u64_capped(&mut self, what: &'static str, max: u64) -> Result<u64, SnapError> {
+    pub fn read_u64_capped(&mut self, what: &'static str, max: u64) -> Result<u64, ContainerError> {
         let v = self.read_u64(what)?;
         if v > max {
-            return Err(SnapError::LimitExceeded { what, got: v, max });
+            return Err(ContainerError::LimitExceeded { what, got: v, max });
         }
         Ok(v)
     }
 
     /// Reads a byte-string field of at most `max` bytes.
-    pub fn read_bytes(&mut self, what: &'static str, max: usize) -> Result<&'a [u8], SnapError> {
+    pub fn read_bytes(
+        &mut self,
+        what: &'static str,
+        max: usize,
+    ) -> Result<&'a [u8], ContainerError> {
         self.take_tag(TAG_BYTES, what)?;
         let len = self.varint_u64(what)?;
         if len > max as u64 {
-            return Err(SnapError::LimitExceeded {
+            return Err(ContainerError::LimitExceeded {
                 what,
                 got: len,
                 max: max as u64,
@@ -387,7 +293,7 @@ impl<'a> StateReader<'a> {
             .pos
             .checked_add(len)
             .filter(|&e| e <= self.buf.len())
-            .ok_or(SnapError::Truncated { what })?;
+            .ok_or(ContainerError::Truncated { what })?;
         let bytes = &self.buf[self.pos..end];
         self.pos = end;
         self.bump();
@@ -395,17 +301,17 @@ impl<'a> StateReader<'a> {
     }
 
     /// Reads a UTF-8 string field of at most `max` bytes.
-    pub fn read_str(&mut self, what: &'static str, max: usize) -> Result<String, SnapError> {
+    pub fn read_str(&mut self, what: &'static str, max: usize) -> Result<String, ContainerError> {
         let bytes = self.read_bytes(what, max)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapError::BadValue { what, got: 0 })
+        String::from_utf8(bytes.to_vec()).map_err(|_| ContainerError::BadName { what })
     }
 
     /// Opens a section, validating its stored name equals `name`.
-    pub fn open_section(&mut self, name: &str) -> Result<(), SnapError> {
+    pub fn open_section(&mut self, name: &str) -> Result<(), ContainerError> {
         self.take_tag(TAG_SEC_BEGIN, "section begin")?;
         let len = self.varint_u64("section name length")?;
         if len == 0 || len > MAX_NAME_LEN as u64 {
-            return Err(SnapError::LimitExceeded {
+            return Err(ContainerError::LimitExceeded {
                 what: "section name length",
                 got: len,
                 max: MAX_NAME_LEN as u64,
@@ -416,13 +322,13 @@ impl<'a> StateReader<'a> {
             .pos
             .checked_add(len)
             .filter(|&e| e <= self.buf.len())
-            .ok_or(SnapError::Truncated {
+            .ok_or(ContainerError::Truncated {
                 what: "section name",
             })?;
         let got = String::from_utf8_lossy(&self.buf[self.pos..end]).into_owned();
         self.pos = end;
         if got != name {
-            return Err(SnapError::SectionName {
+            return Err(ContainerError::SectionName {
                 expected: name.to_string(),
                 got,
             });
@@ -439,13 +345,13 @@ impl<'a> StateReader<'a> {
     ///
     /// Panics if no section is open — mismatched open/close pairs are a
     /// programming error in the loader, not a data error.
-    pub fn close_section(&mut self) -> Result<(), SnapError> {
+    pub fn close_section(&mut self) -> Result<(), ContainerError> {
         assert!(self.scopes.len() > 1, "close_section without open_section");
         self.take_tag(TAG_SEC_END, "section end")?;
         let wrote = self.varint_u64("section field count")?;
         let (section, read) = self.scopes.pop().expect("checked above");
         if wrote != read {
-            return Err(SnapError::FieldCount {
+            return Err(ContainerError::FieldCount {
                 section,
                 wrote,
                 read,
@@ -459,15 +365,16 @@ impl<'a> StateReader<'a> {
     /// # Panics
     ///
     /// Panics if a section is still open (loader bug).
-    pub fn finish(self) -> Result<(), SnapError> {
+    pub fn finish(self) -> Result<(), ContainerError> {
         assert!(
             self.scopes.len() == 1,
             "{} section(s) left open at finish",
             self.scopes.len() - 1
         );
         if self.pos != self.buf.len() {
-            return Err(SnapError::TrailingBytes {
-                count: self.buf.len() - self.pos,
+            return Err(ContainerError::TrailingBytes {
+                what: "state payload",
+                count: (self.buf.len() - self.pos) as u64,
             });
         }
         Ok(())
@@ -484,7 +391,7 @@ impl<'a> StateReader<'a> {
 /// `save_state` must write *every* field that influences future behavior;
 /// `load_state` must consume exactly those fields. The section field-count
 /// check in [`StateReader::close_section`] turns any save/load asymmetry
-/// into a hard [`SnapError::FieldCount`] instead of silent corruption.
+/// into a hard [`ContainerError::FieldCount`] instead of silent corruption.
 pub trait Snapshot {
     /// Serializes the complete state into `w`.
     fn save_state(&self, w: &mut StateWriter);
@@ -492,10 +399,10 @@ pub trait Snapshot {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] if the stream is malformed or does not fit
+    /// Returns a [`ContainerError`] if the stream is malformed or does not fit
     /// this structure's shape. On error the structure may be partially
     /// restored and must not be used further.
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError>;
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError>;
 }
 
 #[cfg(test)]
@@ -548,7 +455,7 @@ mod tests {
         assert_eq!(r.read_u64("two").unwrap(), 2);
         assert!(matches!(
             r.read_u64("three"),
-            Err(SnapError::TagMismatch { .. })
+            Err(ContainerError::TagMismatch { .. })
         ));
 
         // A loader that stops early also trips the tag check (a u64 tag
@@ -560,7 +467,7 @@ mod tests {
         // expected) — either way the asymmetry cannot pass silently.
         assert!(matches!(
             r.close_section(),
-            Err(SnapError::TagMismatch { .. })
+            Err(ContainerError::TagMismatch { .. })
         ));
     }
 
@@ -579,14 +486,14 @@ mod tests {
         let mut r = StateReader::new(&bytes);
         r.open_section("s").unwrap();
         r.read_u64("one").unwrap();
-        assert_eq!(
+        assert!(matches!(
             r.close_section(),
-            Err(SnapError::FieldCount {
-                section: "s".into(),
+            Err(ContainerError::FieldCount {
+                section,
                 wrote: 2,
                 read: 1
-            })
-        );
+            }) if section == "s"
+        ));
     }
 
     #[test]
@@ -596,13 +503,11 @@ mod tests {
         w.end_section();
         let bytes = w.finish();
         let mut r = StateReader::new(&bytes);
-        assert_eq!(
+        assert!(matches!(
             r.open_section("beta"),
-            Err(SnapError::SectionName {
-                expected: "beta".into(),
-                got: "alpha".into()
-            })
-        );
+            Err(ContainerError::SectionName { expected, got })
+                if expected == "beta" && got == "alpha"
+        ));
     }
 
     #[test]
@@ -613,7 +518,13 @@ mod tests {
         bytes.push(0x00);
         let mut r = StateReader::new(&bytes);
         r.read_u64("v").unwrap();
-        assert_eq!(r.finish(), Err(SnapError::TrailingBytes { count: 1 }));
+        assert!(matches!(
+            r.finish(),
+            Err(ContainerError::TrailingBytes {
+                what: "state payload",
+                count: 1
+            })
+        ));
     }
 
     #[test]
@@ -646,13 +557,25 @@ mod tests {
         let mut bytes = w.finish();
         *bytes.last_mut().unwrap() = 7;
         let mut r = StateReader::new(&bytes);
-        assert_eq!(
+        assert!(matches!(
             r.read_bool("flag"),
-            Err(SnapError::BadValue {
+            Err(ContainerError::BadValue {
                 what: "flag",
                 got: 7
             })
-        );
+        ));
+    }
+
+    #[test]
+    fn non_utf8_string_is_a_bad_name() {
+        let mut w = StateWriter::new();
+        w.write_bytes(b"\xffname");
+        let bytes = w.finish();
+        let mut r = StateReader::new(&bytes);
+        assert!(matches!(
+            r.read_str("label", 16),
+            Err(ContainerError::BadName { what: "label" })
+        ));
     }
 
     #[test]
@@ -664,7 +587,7 @@ mod tests {
         let mut r = StateReader::new(&bytes);
         assert!(matches!(
             r.read_u64_capped("v", 999),
-            Err(SnapError::LimitExceeded {
+            Err(ContainerError::LimitExceeded {
                 got: 1000,
                 max: 999,
                 ..
@@ -674,7 +597,7 @@ mod tests {
         r.read_u64("v").unwrap();
         assert!(matches!(
             r.read_bytes("b", 99),
-            Err(SnapError::LimitExceeded {
+            Err(ContainerError::LimitExceeded {
                 got: 100,
                 max: 99,
                 ..
@@ -692,13 +615,13 @@ mod tests {
 
     #[test]
     fn errors_display() {
-        let e = SnapError::FieldCount {
+        let e = ContainerError::FieldCount {
             section: "tage".into(),
             wrote: 5,
             read: 4,
         };
         assert!(e.to_string().contains("tage"));
-        let e = SnapError::Shape {
+        let e = ContainerError::Shape {
             detail: "width 8 != 16".into(),
         };
         assert!(e.to_string().contains("width 8 != 16"));

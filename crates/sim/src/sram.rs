@@ -8,7 +8,7 @@
 //! and exceeding the port budget is reported as a [`PortViolation`] — the
 //! simulation-time analogue of a macro that will not map in synthesis.
 
-use crate::snapshot::{SnapError, StateReader, StateWriter};
+use crate::{ContainerError, StateReader, StateWriter};
 use std::fmt;
 
 /// The port discipline of an SRAM macro.
@@ -363,13 +363,13 @@ impl<T: Clone> SramModel<T> {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input; the model must then be
+    /// Returns a [`ContainerError`] on malformed input; the model must then be
     /// discarded.
     pub fn load_state(
         &mut self,
         r: &mut StateReader<'_>,
-        mut cell: impl FnMut(&mut StateReader<'_>) -> Result<T, SnapError>,
-    ) -> Result<(), SnapError> {
+        mut cell: impl FnMut(&mut StateReader<'_>) -> Result<T, ContainerError>,
+    ) -> Result<(), ContainerError> {
         // A restore replaces the whole state; the touched-set gauge restarts.
         self.touched_flag.fill(false);
         self.rows_touched = 0;

@@ -7,7 +7,7 @@
 //! updates recency state.
 
 use crate::config::CacheConfig;
-use cobra_sim::{bits, SnapError, StateReader, StateWriter};
+use cobra_sim::{bits, ContainerError, StateReader, StateWriter};
 
 /// One set-associative cache level.
 #[derive(Debug, Clone)]
@@ -123,8 +123,8 @@ impl Cache {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    /// Returns a [`ContainerError`] on malformed input.
+    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         r.open_section("cache")?;
         self.clock = r.read_u64_capped("cache clock", u64::from(u32::MAX))? as u32;
         self.hits = r.read_u64("cache hits")?;
@@ -212,8 +212,8 @@ impl MemoryHierarchy {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    /// Returns a [`ContainerError`] on malformed input.
+    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         self.l1i.load_state(r)?;
         self.l1d.load_state(r)?;
         self.l2.load_state(r)?;

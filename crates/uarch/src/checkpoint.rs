@@ -52,15 +52,8 @@ pub const FORMAT: Format = Format {
 /// exact run that would have produced the same warm state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CbsMeta {
-    /// Design name (e.g. `"TAGE-L"`).
-    pub design: String,
-    /// Topology string in the paper's notation.
-    pub topology: String,
-    /// FNV-1a hash over the full design + core configuration (see
-    /// [`config_hash`]).
-    pub config_hash: u64,
-    /// Workload name the checkpoint was captured running.
-    pub workload: String,
+    /// The run the checkpoint was captured from (see [`run_identity`]).
+    pub id: Identity,
     /// Instruction count at which the checkpoint was taken (the warmup
     /// boundary).
     pub warmup_insts: u64,
@@ -71,21 +64,21 @@ impl CbsMeta {
     /// `workload`, checkpointed at `warmup_insts`.
     pub fn for_run(design: &Design, cfg: &CoreConfig, workload: &str, warmup_insts: u64) -> Self {
         Self {
-            design: design.name.clone(),
-            topology: design.topology.clone(),
-            config_hash: config_hash(design, cfg),
-            workload: workload.to_string(),
+            id: run_identity(design, cfg, workload),
             warmup_insts,
         }
     }
+}
 
-    fn identity(&self) -> Identity<&str> {
-        Identity {
-            design: &self.design,
-            topology: &self.topology,
-            config_hash: self.config_hash,
-            workload: &self.workload,
-        }
+/// The identity head of a run of `design` under `cfg` on `workload`, as
+/// `.cbs`, `.cbr` and `.cbm` files record it: the design's name and
+/// topology, its [`config_hash`], and the workload name.
+pub fn run_identity(design: &Design, cfg: &CoreConfig, workload: &str) -> Identity {
+    Identity {
+        design: design.name.clone(),
+        topology: design.topology.clone(),
+        config_hash: config_hash(design, cfg),
+        workload: workload.to_string(),
     }
 }
 
@@ -129,7 +122,7 @@ pub fn save_checkpoint<W: Write, S: InstructionStream>(
     core: &Core<S>,
 ) -> Result<u64, ContainerError> {
     let mut header = container::begin_header(&FORMAT);
-    container::put_identity(&mut header, &meta.identity())?;
+    container::put_identity(&mut header, &meta.id)?;
     varint::write_u64(&mut header, meta.warmup_insts);
     let mut sw = StateWriter::new();
     core.save_state(&mut sw);
@@ -145,21 +138,10 @@ pub fn save_checkpoint<W: Write, S: InstructionStream>(
 /// Any [`ContainerError`] describing the first malformed header structure.
 pub fn read_meta<R: Read>(mut r: R) -> Result<CbsMeta, ContainerError> {
     let mut h = container::read_header(&mut r, &FORMAT)?;
-    let Identity {
-        design,
-        topology,
-        config_hash,
-        workload,
-    } = h.identity()?;
+    let id = h.identity()?;
     let warmup_insts = h.varint("header warmup boundary")?;
     h.check("header checksum")?;
-    Ok(CbsMeta {
-        design,
-        topology,
-        config_hash,
-        workload,
-        warmup_insts,
-    })
+    Ok(CbsMeta { id, warmup_insts })
 }
 
 /// Restores a `.cbs` file into `core`, which must be built from the same
@@ -177,9 +159,10 @@ pub fn read_meta<R: Read>(mut r: R) -> Result<CbsMeta, ContainerError> {
 ///
 /// # Errors
 ///
-/// Any [`ContainerError`]. If the error is [`ContainerError::State`],
-/// the core may be partially overwritten and must be discarded; identity
-/// and checksum errors are detected before any state is written.
+/// Any [`ContainerError`]. Header, identity and boundary errors are
+/// detected before any state is written; after the identity check, any
+/// error may leave the core partially overwritten, and the core must be
+/// discarded.
 pub fn restore_checkpoint<R: Read, S: InstructionStream>(
     r: R,
     expected: &CbsMeta,
@@ -239,9 +222,7 @@ pub fn best_resume_checkpoint(
         let Ok(meta) = read_meta(std::io::BufReader::new(f)) else {
             continue;
         };
-        if meta.identity().check(&expected.identity()).is_err()
-            || meta.warmup_insts > expected.warmup_insts
-        {
+        if meta.id.check(&expected.id).is_err() || meta.warmup_insts > expected.warmup_insts {
             continue;
         }
         if best
@@ -261,7 +242,7 @@ fn restore_inner<R: Read, S: InstructionStream>(
     allow_earlier_warmup: bool,
 ) -> Result<u64, ContainerError> {
     let meta = read_meta(&mut r)?;
-    meta.identity().check(&expected.identity())?;
+    meta.id.check(&expected.id)?;
     // An earlier boundary passes as the expected one; an overshoot is
     // reported as stored.
     let boundary = if allow_earlier_warmup {
@@ -429,7 +410,7 @@ mod tests {
         }
         // A foreign-identity file and a damaged file must both be skipped.
         let mut other = meta(&cfg, 1_500);
-        other.workload = "other".into();
+        other.id.workload = "other".into();
         let mut core = fresh_core(cfg);
         core.run(1_500, "other");
         let mut buf = Vec::new();
@@ -469,10 +450,10 @@ mod tests {
             m
         };
         for (field, m) in [
-            ("design", with(|m| m.design = "TAGE-L".into())),
-            ("topology", with(|m| m.topology = "BIM2".into())),
-            ("config hash", with(|m| m.config_hash ^= 1)),
-            ("workload", with(|m| m.workload = "other".into())),
+            ("design", with(|m| m.id.design = "TAGE-L".into())),
+            ("topology", with(|m| m.id.topology = "BIM2".into())),
+            ("config hash", with(|m| m.id.config_hash ^= 1)),
+            ("workload", with(|m| m.id.workload = "other".into())),
             ("warmup boundary", with(|m| m.warmup_insts += 1)),
         ] {
             match restore_checkpoint(&bytes[..], &m, &mut core) {

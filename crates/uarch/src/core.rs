@@ -24,7 +24,7 @@ use cobra_core::obs::interval::{HostCounters, IntervalEngine, IntervalGauges, In
 use cobra_core::{
     BranchKind, ComposeError, PredictionBundle, SlotResolution, MAX_FETCH_WIDTH, SLOT_BYTES,
 };
-use cobra_sim::{SnapError, StateReader, StateWriter, TokenSlab};
+use cobra_sim::{ContainerError, StateReader, StateWriter, TokenSlab};
 use std::collections::VecDeque;
 
 /// A fetch packet travelling through the prediction pipeline stages.
@@ -120,7 +120,7 @@ fn encode_misp(m: Option<MispredictKind>) -> u64 {
     }
 }
 
-fn decode_misp(r: &mut StateReader<'_>) -> Result<Option<MispredictKind>, SnapError> {
+fn decode_misp(r: &mut StateReader<'_>) -> Result<Option<MispredictKind>, ContainerError> {
     Ok(match r.read_u64_capped("mispredict kind", 2)? {
         0 => None,
         1 => Some(MispredictKind::Direction),
@@ -138,7 +138,7 @@ impl InflightFetch {
         w.write_bool(self.steered);
     }
 
-    fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
+    fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
         Ok(InflightFetch {
             id: r.read_u64("fetch id")?,
             pc: r.read_u64("fetch pc")?,
@@ -164,7 +164,7 @@ impl MicroOp {
         w.write_bool(self.wrong_path);
     }
 
-    fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
+    fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
         Ok(MicroOp {
             token: r.read_u64("uop token")?,
             slot: r.read_u64_capped("uop slot", 0xff)? as u8,
@@ -189,7 +189,7 @@ impl RobEntry {
         w.write_u64(self.completion);
     }
 
-    fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
+    fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
         Ok(RobEntry {
             seq: r.read_u64("rob seq")?,
             uop: MicroOp::load_state(r)?,
@@ -214,7 +214,7 @@ impl RasOps {
         }
     }
 
-    fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
+    fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
         let len = r.read_u64_capped("ras op count", MAX_FETCH_WIDTH as u64)?;
         let mut ops = RasOps::default();
         for _ in 0..len {
@@ -239,7 +239,7 @@ impl TokenInfo {
         self.ras_ops.save_state(w);
     }
 
-    fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
+    fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
         Ok(TokenInfo {
             remaining: r.read_u64_capped("token remaining", u64::from(u32::MAX))? as u32,
             ras_snap: if r.read_bool("token has ras snap")? {
@@ -436,11 +436,11 @@ impl<S: InstructionStream> Core<S> {
         };
     }
 
-    /// Live host-counter snapshot for interval telemetry: the counters
-    /// mirror, plus the in-progress cycle count (`run` writes
+    /// Live host-counter snapshot for interval telemetry: the counters,
+    /// plus the in-progress cycle count (`run` writes
     /// `counters.cycles` back only when it returns).
     fn host_snapshot(&self) -> HostCounters {
-        let mut h = self.counters.to_host();
+        let mut h = self.counters;
         h.cycles = self.cycle;
         h
     }
@@ -1362,12 +1362,12 @@ impl<S: InstructionStream> Core<S> {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] when the payload is malformed or shaped for
-    /// a different design or configuration, and a [`SnapError::Shape`]
+    /// Returns a [`ContainerError`] when the payload is malformed or shaped for
+    /// a different design or configuration, and a [`ContainerError::Shape`]
     /// when the recorded cursor is behind this core's (a stream cannot
     /// move backwards; restore such a checkpoint into a fresh core). On
     /// error the core may be partially overwritten and must be discarded.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         r.open_section("core")?;
         self.cycle = r.read_u64("core cycle")?;
         self.counters = PerfCounters::load_state(r)?;
@@ -1427,9 +1427,9 @@ impl<S: InstructionStream> Core<S> {
 
     /// Moves the consumed-instruction cursor forward to `reads`: through
     /// the unread read-ahead first, then by pulling from the stream itself.
-    fn advance_stream_to(&mut self, reads: u64) -> Result<(), SnapError> {
+    fn advance_stream_to(&mut self, reads: u64) -> Result<(), ContainerError> {
         let Some(gap) = reads.checked_sub(self.stream_reads) else {
-            return Err(SnapError::Shape {
+            return Err(ContainerError::Shape {
                 detail: format!(
                     "checkpoint stream cursor {reads} is behind this core's cursor {}; \
                      a stream only moves forward, so restore it into a fresh core",

@@ -45,7 +45,7 @@ pub use crate::core::Core;
 pub use cache::{Cache, MemoryHierarchy};
 pub use checkpoint::{
     best_resume_checkpoint, config_hash, read_meta, restore_checkpoint, restore_checkpoint_resume,
-    save_checkpoint, CbsMeta,
+    run_identity, save_checkpoint, CbsMeta,
 };
 /// The error type of every container reader and writer.
 pub use cobra_sim::container::ContainerError;

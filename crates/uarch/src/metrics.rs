@@ -43,32 +43,15 @@ pub const MAX_SIG_BUCKETS: u64 = 4096;
 /// and workload produced it, plus the telemetry geometry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CbmMeta {
-    /// Design name (e.g. `"TAGE-L"`).
-    pub design: String,
-    /// Topology string in the paper's notation.
-    pub topology: String,
-    /// FNV-1a hash over the full design + core configuration (see
-    /// [`crate::checkpoint::config_hash`]).
-    pub config_hash: u64,
-    /// Workload name the run simulated.
-    pub workload: String,
+    /// The run the telemetry was recorded from (see
+    /// [`run_identity`](crate::run_identity)).
+    pub id: Identity,
     /// Warmup boundary (committed instructions) the intervals start at.
     pub warmup_insts: u64,
     /// Requested interval length in committed instructions.
     pub interval_n: u64,
     /// Phase-signature buckets per record.
     pub sig_buckets: u64,
-}
-
-impl CbmMeta {
-    fn identity(&self) -> Identity<&str> {
-        Identity {
-            design: &self.design,
-            topology: &self.topology,
-            config_hash: self.config_hash,
-            workload: &self.workload,
-        }
-    }
 }
 
 /// A fully decoded and validated `.cbm` file.
@@ -116,7 +99,7 @@ pub fn save_metrics<W: Write>(
         .collect();
 
     let mut header = container::begin_header(&FORMAT);
-    container::put_identity(&mut header, &meta.identity())?;
+    container::put_identity(&mut header, &meta.id)?;
     for v in [
         meta.warmup_insts,
         meta.interval_n,
@@ -179,12 +162,7 @@ pub fn save_metrics<W: Write>(
 /// Any [`ContainerError`] describing the first malformed header structure.
 pub fn read_meta<R: Read>(mut r: R) -> Result<(CbmMeta, Vec<String>), ContainerError> {
     let mut h = container::read_header(&mut r, &FORMAT)?;
-    let Identity {
-        design,
-        topology,
-        config_hash,
-        workload,
-    } = h.identity()?;
+    let id = h.identity()?;
     let warmup_insts = h.varint("header warmup boundary")?;
     let interval_n = h.varint("header interval length")?;
     let sig_buckets = h.capped("header signature buckets", MAX_SIG_BUCKETS)?;
@@ -194,10 +172,7 @@ pub fn read_meta<R: Read>(mut r: R) -> Result<(CbmMeta, Vec<String>), ContainerE
         .collect::<Result<Vec<_>, _>>()?;
     h.check("header checksum")?;
     let meta = CbmMeta {
-        design,
-        topology,
-        config_hash,
-        workload,
+        id,
         warmup_insts,
         interval_n,
         sig_buckets,
@@ -574,10 +549,12 @@ mod tests {
 
     fn meta() -> CbmMeta {
         CbmMeta {
-            design: "B2".into(),
-            topology: "GBIM2(BIM1)".into(),
-            config_hash: 0x1234_5678_9abc_def0,
-            workload: "gcc".into(),
+            id: Identity {
+                design: "B2".into(),
+                topology: "GBIM2(BIM1)".into(),
+                config_hash: 0x1234_5678_9abc_def0,
+                workload: "gcc".into(),
+            },
             warmup_insts: 40,
             interval_n: 50,
             sig_buckets: SIG_BUCKETS as u64,

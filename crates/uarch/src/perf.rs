@@ -1,163 +1,10 @@
 //! Performance counters and the end-of-run report.
 
-use cobra_core::obs::interval::HostCounters;
 use cobra_core::obs::AttributionReport;
-use cobra_sim::{SnapError, StateReader, StateWriter};
 
-/// The out-of-band profiling counters the simulated core maintains
-/// (standing in for FireSim's profiling tools and `perf`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PerfCounters {
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Architecturally committed instructions.
-    pub committed_insts: u64,
-    /// Committed conditional branches.
-    pub cond_branches: u64,
-    /// Committed control-flow instructions of any kind.
-    pub cfis: u64,
-    /// Conditional-branch direction mispredictions.
-    pub cond_mispredicts: u64,
-    /// Target mispredictions (BTB/RAS/indirect).
-    pub target_mispredicts: u64,
-    /// Frontend override redirects (a later stage changed the prediction).
-    pub override_redirects: u64,
-    /// Fetch replays forced by global-history repair (Section VI-B).
-    pub history_replays: u64,
-    /// Cycles fetch produced nothing (bubbles of any cause).
-    pub fetch_bubbles: u64,
-    /// Cycles fetch stalled on the instruction cache.
-    pub icache_stall_cycles: u64,
-    /// Cycles dispatch stalled on a full ROB.
-    pub rob_stall_cycles: u64,
-}
-
-impl PerfCounters {
-    /// All branch mispredictions (direction + target).
-    pub fn branch_misses(&self) -> u64 {
-        self.cond_mispredicts + self.target_mispredicts
-    }
-
-    /// Instructions per cycle.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.committed_insts as f64 / self.cycles as f64
-        }
-    }
-
-    /// Branch misses per kilo-instruction — the Fig 10 metric.
-    pub fn mpki(&self) -> f64 {
-        if self.committed_insts == 0 {
-            0.0
-        } else {
-            self.branch_misses() as f64 * 1000.0 / self.committed_insts as f64
-        }
-    }
-
-    /// Conditional-branch prediction accuracy in percent.
-    pub fn branch_accuracy(&self) -> f64 {
-        if self.cond_branches == 0 {
-            100.0
-        } else {
-            100.0 * (1.0 - self.cond_mispredicts as f64 / self.cond_branches as f64)
-        }
-    }
-}
-
-impl PerfCounters {
-    /// Serializes the counters into a checkpoint stream.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.write_u64(self.cycles);
-        w.write_u64(self.committed_insts);
-        w.write_u64(self.cond_branches);
-        w.write_u64(self.cfis);
-        w.write_u64(self.cond_mispredicts);
-        w.write_u64(self.target_mispredicts);
-        w.write_u64(self.override_redirects);
-        w.write_u64(self.history_replays);
-        w.write_u64(self.fetch_bubbles);
-        w.write_u64(self.icache_stall_cycles);
-        w.write_u64(self.rob_stall_cycles);
-    }
-
-    /// Decodes counters written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] on malformed input.
-    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
-        Ok(PerfCounters {
-            cycles: r.read_u64("perf cycles")?,
-            committed_insts: r.read_u64("perf committed insts")?,
-            cond_branches: r.read_u64("perf cond branches")?,
-            cfis: r.read_u64("perf cfis")?,
-            cond_mispredicts: r.read_u64("perf cond mispredicts")?,
-            target_mispredicts: r.read_u64("perf target mispredicts")?,
-            override_redirects: r.read_u64("perf override redirects")?,
-            history_replays: r.read_u64("perf history replays")?,
-            fetch_bubbles: r.read_u64("perf fetch bubbles")?,
-            icache_stall_cycles: r.read_u64("perf icache stalls")?,
-            rob_stall_cycles: r.read_u64("perf rob stalls")?,
-        })
-    }
-}
-
-impl PerfCounters {
-    /// The interval-telemetry mirror of these counters — same fields, same
-    /// meaning (see [`cobra_core::obs::interval::HostCounters`]).
-    pub fn to_host(&self) -> HostCounters {
-        HostCounters {
-            cycles: self.cycles,
-            committed_insts: self.committed_insts,
-            cond_branches: self.cond_branches,
-            cfis: self.cfis,
-            cond_mispredicts: self.cond_mispredicts,
-            target_mispredicts: self.target_mispredicts,
-            override_redirects: self.override_redirects,
-            history_replays: self.history_replays,
-            fetch_bubbles: self.fetch_bubbles,
-            icache_stall_cycles: self.icache_stall_cycles,
-            rob_stall_cycles: self.rob_stall_cycles,
-        }
-    }
-
-    /// The inverse of [`to_host`](Self::to_host), for decoding persisted
-    /// results back into a report.
-    pub fn from_host(h: &HostCounters) -> Self {
-        PerfCounters {
-            cycles: h.cycles,
-            committed_insts: h.committed_insts,
-            cond_branches: h.cond_branches,
-            cfis: h.cfis,
-            cond_mispredicts: h.cond_mispredicts,
-            target_mispredicts: h.target_mispredicts,
-            override_redirects: h.override_redirects,
-            history_replays: h.history_replays,
-            fetch_bubbles: h.fetch_bubbles,
-            icache_stall_cycles: h.icache_stall_cycles,
-            rob_stall_cycles: h.rob_stall_cycles,
-        }
-    }
-
-    /// Field-wise difference `self − earlier`, for warm-up exclusion.
-    pub fn delta(&self, earlier: &PerfCounters) -> PerfCounters {
-        PerfCounters {
-            cycles: self.cycles - earlier.cycles,
-            committed_insts: self.committed_insts - earlier.committed_insts,
-            cond_branches: self.cond_branches - earlier.cond_branches,
-            cfis: self.cfis - earlier.cfis,
-            cond_mispredicts: self.cond_mispredicts - earlier.cond_mispredicts,
-            target_mispredicts: self.target_mispredicts - earlier.target_mispredicts,
-            override_redirects: self.override_redirects - earlier.override_redirects,
-            history_replays: self.history_replays - earlier.history_replays,
-            fetch_bubbles: self.fetch_bubbles - earlier.fetch_bubbles,
-            icache_stall_cycles: self.icache_stall_cycles - earlier.icache_stall_cycles,
-            rob_stall_cycles: self.rob_stall_cycles - earlier.rob_stall_cycles,
-        }
-    }
-}
+/// The out-of-band profiling counters of a run, shared with the interval
+/// telemetry (one struct, two names).
+pub use cobra_core::obs::interval::HostCounters as PerfCounters;
 
 /// The result of simulating a workload to completion.
 ///

@@ -10,7 +10,7 @@
 //! exactly as real speculation does.
 
 use cobra_core::BranchKind;
-use cobra_sim::{SnapError, StateReader, StateWriter};
+use cobra_sim::{ContainerError, StateReader, StateWriter};
 
 /// An instruction's execution class, determining issue port and latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,8 +61,8 @@ impl Op {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input.
-    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
+    /// Returns a [`ContainerError`] on malformed input.
+    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
         Ok(match r.read_u64_capped("op code", 6)? {
             0 => Op::Int,
             1 => Op::Mul,
@@ -106,10 +106,10 @@ impl CfiOutcome {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input.
-    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
+    /// Returns a [`ContainerError`] on malformed input.
+    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
         let code = r.read_u64("cfi kind")?;
-        let kind = BranchKind::from_code(code).ok_or(SnapError::BadValue {
+        let kind = BranchKind::from_code(code).ok_or(ContainerError::BadValue {
             what: "cfi kind",
             got: code,
         })?;
@@ -162,8 +162,8 @@ impl DynInst {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input.
-    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
+    /// Returns a [`ContainerError`] on malformed input.
+    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
         let pc = r.read_u64("inst pc")?;
         let op = Op::load_state(r)?;
         let cfi = if r.read_bool("inst has cfi")? {

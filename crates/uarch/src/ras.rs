@@ -1,7 +1,7 @@
 //! The return-address stack — "the only prediction sub-component from the
 //! original BOOM core which was preserved" (paper Section IV-C).
 
-use cobra_sim::{SnapError, StateReader, StateWriter};
+use cobra_sim::{ContainerError, StateReader, StateWriter};
 
 /// A circular return-address stack with snapshot repair.
 ///
@@ -40,8 +40,8 @@ impl RasSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input.
-    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, SnapError> {
+    /// Returns a [`ContainerError`] on malformed input.
+    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, ContainerError> {
         Ok(RasSnapshot {
             top: r.read_u64_capped("ras snapshot top", 1 << 20)? as usize,
             value: r.read_u64("ras snapshot value")?,
@@ -132,8 +132,8 @@ impl ReturnAddressStack {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on malformed input.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    /// Returns a [`ContainerError`] on malformed input.
+    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         r.open_section("ras")?;
         self.top = r.read_u64_capped("ras top", self.entries.len() as u64 - 1)? as usize;
         self.depth = r.read_u64_capped("ras depth", self.entries.len() as u64)? as usize;

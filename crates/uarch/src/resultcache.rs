@@ -19,7 +19,7 @@
 //! drift. Its schema is in `docs/CONTAINER_FORMAT.md`.
 
 use crate::metrics::{decode_attr, decode_host, encode_attr, encode_host, MAX_LABELS};
-use crate::{PerfCounters, PerfReport};
+use crate::PerfReport;
 use cobra_sim::container::{
     self, cap, check_field, put_str, take_str, take_varint, ContainerError, Format, Identity,
 };
@@ -44,31 +44,14 @@ pub const FORMAT: Format = Format {
 /// hand-renamed file can never serve the wrong experiment's numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CbrMeta {
-    /// Design name (e.g. `"TAGE-L"`).
-    pub design: String,
-    /// Topology string in the paper's notation.
-    pub topology: String,
-    /// FNV-1a hash over the full design + core configuration (see
-    /// [`crate::checkpoint::config_hash`]).
-    pub config_hash: u64,
-    /// Workload name the run simulated.
-    pub workload: String,
+    /// The run that produced the result (see
+    /// [`run_identity`](crate::run_identity)).
+    pub id: Identity,
     /// Measured instruction bound of the run.
     pub insts: u64,
     /// Warmup boundary (committed instructions) excluded from the
     /// measurement.
     pub warmup_insts: u64,
-}
-
-impl CbrMeta {
-    fn identity(&self) -> Identity<&str> {
-        Identity {
-            design: &self.design,
-            topology: &self.topology,
-            config_hash: self.config_hash,
-            workload: &self.workload,
-        }
-    }
 }
 
 /// Serializes `report` into `w` as a `.cbr` file bound to `meta`, and
@@ -98,7 +81,7 @@ pub fn save_result<W: Write>(
         .collect();
 
     let mut header = container::begin_header(&FORMAT);
-    container::put_identity(&mut header, &meta.identity())?;
+    container::put_identity(&mut header, &meta.id)?;
     varint::write_u64(&mut header, meta.insts);
     varint::write_u64(&mut header, meta.warmup_insts);
 
@@ -112,7 +95,7 @@ pub fn save_result<W: Write>(
     for l in &labels {
         put_str(&mut payload, "payload component label", l)?;
     }
-    encode_host(&mut payload, &report.counters.to_host());
+    encode_host(&mut payload, &report.counters);
     encode_attr(&mut payload, &report.attribution, &row_index)?;
     container::write_frame(w, &FORMAT, &header, &payload)
 }
@@ -125,20 +108,12 @@ pub fn save_result<W: Write>(
 /// Any [`ContainerError`] describing the first malformed header structure.
 pub fn read_result_meta<R: Read>(mut r: R) -> Result<CbrMeta, ContainerError> {
     let mut h = container::read_header(&mut r, &FORMAT)?;
-    let Identity {
-        design,
-        topology,
-        config_hash,
-        workload,
-    } = h.identity()?;
+    let id = h.identity()?;
     let insts = h.varint("header instruction bound")?;
     let warmup_insts = h.varint("header warmup boundary")?;
     h.check("header checksum")?;
     Ok(CbrMeta {
-        design,
-        topology,
-        config_hash,
-        workload,
+        id,
         insts,
         warmup_insts,
     })
@@ -157,7 +132,7 @@ pub fn read_result_meta<R: Read>(mut r: R) -> Result<CbrMeta, ContainerError> {
 /// first identity field that differs.
 pub fn read_result<R: Read>(mut r: R, expected: &CbrMeta) -> Result<PerfReport, ContainerError> {
     let meta = read_result_meta(&mut r)?;
-    meta.identity().check(&expected.identity())?;
+    meta.id.check(&expected.id)?;
     check_field("instruction bound", meta.insts, expected.insts)?;
     check_field("warmup boundary", meta.warmup_insts, expected.warmup_insts)?;
     let payload = container::read_payload(&mut r, &FORMAT)?;
@@ -179,16 +154,16 @@ pub fn read_result<R: Read>(mut r: R, expected: &CbrMeta) -> Result<PerfReport, 
     if pos != payload.len() {
         return malformed("payload bytes remain after the attribution section");
     }
-    if workload != meta.workload {
+    if workload != meta.id.workload {
         return malformed("payload workload disagrees with the header");
     }
-    if design != meta.design {
+    if design != meta.id.design {
         return malformed("payload design disagrees with the header");
     }
     Ok(PerfReport {
         workload,
         design,
-        counters: PerfCounters::from_host(&host),
+        counters: host,
         attribution,
     })
 }
@@ -196,6 +171,7 @@ pub fn read_result<R: Read>(mut r: R, expected: &CbrMeta) -> Result<PerfReport, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PerfCounters;
     use cobra_core::obs::{
         AttributionReport, ComponentAttribution, ComponentCounters, OverrideEdge,
     };
@@ -249,10 +225,12 @@ mod tests {
 
     fn sample_meta() -> CbrMeta {
         CbrMeta {
-            design: "B2".into(),
-            topology: "GBIM2(BIM1)".into(),
-            config_hash: 0x1234_5678_9abc_def0,
-            workload: "gcc".into(),
+            id: Identity {
+                design: "B2".into(),
+                topology: "GBIM2(BIM1)".into(),
+                config_hash: 0x1234_5678_9abc_def0,
+                workload: "gcc".into(),
+            },
             insts: 20_000,
             warmup_insts: 8_000,
         }
@@ -281,7 +259,7 @@ mod tests {
     fn identity_mismatches_are_precise() {
         let bytes = encode();
         let mut m = sample_meta();
-        m.design = "TAGE-L".into();
+        m.id.design = "TAGE-L".into();
         assert!(matches!(
             read_result(&bytes[..], &m),
             Err(ContainerError::IdentityMismatch {
@@ -290,7 +268,7 @@ mod tests {
             })
         ));
         let mut m = sample_meta();
-        m.topology = "BIM2".into();
+        m.id.topology = "BIM2".into();
         assert!(matches!(
             read_result(&bytes[..], &m),
             Err(ContainerError::IdentityMismatch {
@@ -299,7 +277,7 @@ mod tests {
             })
         ));
         let mut m = sample_meta();
-        m.config_hash ^= 1;
+        m.id.config_hash ^= 1;
         assert!(matches!(
             read_result(&bytes[..], &m),
             Err(ContainerError::IdentityMismatch {
@@ -308,7 +286,7 @@ mod tests {
             })
         ));
         let mut m = sample_meta();
-        m.workload = "xz".into();
+        m.id.workload = "xz".into();
         assert!(matches!(
             read_result(&bytes[..], &m),
             Err(ContainerError::IdentityMismatch {

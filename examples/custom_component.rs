@@ -17,7 +17,7 @@ use cobra::core::{
     Component, Meta, PredictQuery, PredictionBundle, Response, StorageReport, UpdateEvent,
 };
 use cobra::sim::{
-    bits, PortKind, SaturatingCounter, SnapError, SramModel, StateReader, StateWriter,
+    bits, ContainerError, PortKind, SaturatingCounter, SramModel, StateReader, StateWriter,
 };
 use cobra::uarch::{Core, CoreConfig};
 use cobra::workloads::spec17;
@@ -124,7 +124,7 @@ impl Component for AgreePredictor {
         self.table.save_state(w, |w, &c| w.write_u64(u64::from(c)));
     }
 
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         self.table
             .load_state(r, |r| Ok(r.read_u64_capped("agree counter", 0xff)? as u8))
     }

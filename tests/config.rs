@@ -4,7 +4,7 @@
 //! Everything here goes through the pure parser `Config::from_vars`, so
 //! no test touches the process environment or the process config.
 
-use cobra::core::config::{Config, Rule, KNOBS};
+use cobra::core::config::{unknown_var_warnings, Config, Rule, HARNESS_VARS, KNOBS};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::ffi::OsString;
@@ -139,6 +139,55 @@ fn config_doc_matches_the_knob_table() {
         .map(|k| (k.name.to_string(), k.default.to_string()))
         .collect();
     assert_eq!(documented, table);
+}
+
+/// A set `COBRA_*` name that is neither a knob nor a harness variable
+/// warns once, naming it; everything else passes silently.
+#[test]
+fn unknown_cobra_vars_warn_once_each() {
+    let cases: &[(&[&str], &[&str])] = &[
+        (&[], &[]),
+        (&["PATH", "HOME", "CARGO_TARGET_DIR"], &[]),
+        (&["COBRA_INSTS", "COBRA_PROFILE", "COBRA_GOLDEN_BLESS"], &[]),
+        (&["COBRA_GRID_JSON"], &["COBRA_GRID_JSON"]),
+        (
+            &["COBRA_SERVE_CACHE", "COBRA_INSTS", "COBRA_INSTSS"],
+            &["COBRA_SERVE_CACHE", "COBRA_INSTSS"],
+        ),
+        (&["cobra_insts", "XCOBRA_INSTS", "COBRA"], &[]),
+        (&["COBRA_"], &["COBRA_"]),
+    ];
+    for &(names, warned) in cases {
+        let warnings = unknown_var_warnings(names.iter().copied());
+        assert_eq!(warnings.len(), warned.len(), "{names:?}: {warnings:?}");
+        for (w, name) in warnings.iter().zip(warned) {
+            assert!(
+                w.starts_with("warning: ") && w.contains(&format!("{name} ")),
+                "{name}: {w}"
+            );
+        }
+    }
+}
+
+/// The "Test harness" table of `docs/CONFIG.md` is exactly
+/// `HARNESS_VARS`.
+#[test]
+fn harness_doc_matches_the_harness_table() {
+    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/docs/CONFIG.md"))
+        .expect("docs/CONFIG.md is readable");
+    let mut section = "";
+    let mut documented = Vec::new();
+    for line in doc.lines() {
+        if let Some(heading) = line.strip_prefix("## ") {
+            section = heading;
+        }
+        if let Some(row) = line.strip_prefix("| `") {
+            if section == "Test harness" {
+                documented.push(row.split('`').next().unwrap_or_default().to_string());
+            }
+        }
+    }
+    assert_eq!(documented, HARNESS_VARS);
 }
 
 /// Deterministic xorshift64* generator (as in the analysis robustness

@@ -15,7 +15,7 @@ use cobra::core::designs;
 use cobra::sim::container::{self, ContainerError, Format, Identity, MAX_NAME_BYTES};
 use cobra::sim::{crc32c, varint};
 use cobra::uarch::{
-    config_hash, read_metrics, read_result, save_checkpoint, save_metrics, save_result,
+    read_metrics, read_result, run_identity, save_checkpoint, save_metrics, save_result,
     CacheConfig, CbmMeta, CbrMeta, CbsMeta, CfiOutcome, Core, CoreConfig, DynInst, Op, PerfReport,
 };
 use cobra::workloads::cbt::{self, CbtReader};
@@ -100,21 +100,18 @@ fn b2_xz_run() -> (Vec<u8>, Vec<u8>) {
     core.set_interval(1_000);
     let report: PerfReport = core.run_with_warmup(WARMUP, MEASURE, "xz");
     let series = core.take_intervals().unwrap();
-    let hash = config_hash(&design, &cfg);
+    let id = run_identity(&design, &cfg, "xz");
     let mut cbm = Vec::new();
     save_metrics(
         &mut cbm,
         &CbmMeta {
-            design: design.name.clone(),
-            topology: design.topology.clone(),
-            config_hash: hash,
-            workload: "xz".into(),
+            id: id.clone(),
             warmup_insts: WARMUP,
             interval_n: series.interval_n,
             sig_buckets: series.records[0].sig.len() as u64,
         },
         &series,
-        &report.counters.to_host(),
+        &report.counters,
         &report.attribution,
     )
     .unwrap();
@@ -122,10 +119,7 @@ fn b2_xz_run() -> (Vec<u8>, Vec<u8>) {
     save_result(
         &mut cbr,
         &CbrMeta {
-            design: design.name.clone(),
-            topology: design.topology.clone(),
-            config_hash: hash,
-            workload: "xz".into(),
+            id,
             insts: MEASURE,
             warmup_insts: WARMUP,
         },
@@ -510,7 +504,10 @@ fn key(e: &ContainerError) -> String {
             format!("BlockChecksum({block}, stored {stored:#x})")
         }
         E::BadVarint { what } => format!("BadVarint({what})"),
-        E::TrailingBytes { count } => format!("TrailingBytes({count})"),
+        E::TrailingBytes {
+            what: "footer magic",
+            count,
+        } => format!("TrailingBytes({count})"),
         other => format!("{other:?}"),
     }
 }
@@ -567,10 +564,7 @@ fn read_synth(mut r: &[u8]) -> Result<(), ContainerError> {
 fn cbr_meta() -> CbrMeta {
     let design = designs::b2();
     CbrMeta {
-        design: design.name.clone(),
-        topology: design.topology.clone(),
-        config_hash: config_hash(&design, &CoreConfig::boom_4wide()),
-        workload: "xz".into(),
+        id: run_identity(&design, &CoreConfig::boom_4wide(), "xz"),
         insts: MEASURE,
         warmup_insts: WARMUP,
     }
@@ -816,7 +810,7 @@ fn writers_refuse_what_readers_refuse() {
 
     // Each real format refuses an over-cap name before writing a byte.
     let mut meta = cbr_meta();
-    meta.topology = long.clone();
+    meta.id.topology = long.clone();
     let (_, cbr) = b2_xz_run();
     let report = read_result(&cbr[..], &cbr_meta()).unwrap();
     let mut file = Vec::new();

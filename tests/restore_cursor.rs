@@ -8,7 +8,7 @@
 //! error.
 
 use cobra::core::designs;
-use cobra::sim::{SnapError, StateReader, StateWriter};
+use cobra::sim::{ContainerError, StateReader, StateWriter};
 use cobra::uarch::{Core, CoreConfig, DynInst, InstructionStream, PerfCounters, StaticInst};
 use cobra::workloads::spec17;
 
@@ -52,7 +52,7 @@ fn state_bytes<S: InstructionStream>(core: &Core<S>) -> Vec<u8> {
     w.finish()
 }
 
-fn load<S: InstructionStream>(core: &mut Core<S>, bytes: &[u8]) -> Result<(), SnapError> {
+fn load<S: InstructionStream>(core: &mut Core<S>, bytes: &[u8]) -> Result<(), ContainerError> {
     let mut r = StateReader::new(bytes);
     core.load_state(&mut r)?;
     r.finish()
@@ -129,7 +129,7 @@ fn reused_core_restores_equal_fresh_core_restores() {
             // checkpoint, which must be refused, not replayed wrongly.
             let err = load(&mut reused, &ckpts[0]).unwrap_err();
             assert!(
-                matches!(&err, SnapError::Shape { detail } if detail.contains("behind")),
+                matches!(&err, ContainerError::Shape { detail } if detail.contains("behind")),
                 "{who}: {err}"
             );
 

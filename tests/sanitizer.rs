@@ -11,7 +11,7 @@ use cobra::core::config::{self, Config};
 use cobra::core::{
     Component, HistoryView, Meta, PredictQuery, PredictionBundle, Response, StorageReport,
 };
-use cobra::sim::{HistoryRegister, SnapError, StateReader, StateWriter};
+use cobra::sim::{ContainerError, HistoryRegister, StateReader, StateWriter};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 
@@ -57,7 +57,7 @@ impl Component for Hint {
         }
     }
     fn save_state(&self, _w: &mut StateWriter) {}
-    fn load_state(&mut self, _r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, _r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         Ok(())
     }
 }
@@ -98,7 +98,7 @@ impl Component for Dropper {
         }
     }
     fn save_state(&self, _w: &mut StateWriter) {}
-    fn load_state(&mut self, _r: &mut StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, _r: &mut StateReader<'_>) -> Result<(), ContainerError> {
         Ok(())
     }
 }
