@@ -30,7 +30,7 @@
 
 use cobra_bench::cli::{self, Stop};
 use cobra_bench::runner::parallel_map;
-use cobra_bench::{ckpt_file_name, KERNEL_NAMES};
+use cobra_bench::{ckpt_file_name, warmup_for, KERNEL_NAMES};
 use cobra_core::composer::Design;
 use cobra_core::designs;
 use cobra_uarch::{read_meta, restore_checkpoint, save_checkpoint, CbsMeta, Core, CoreConfig};
@@ -100,7 +100,7 @@ fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
             .map(|n| cli::workload(n))
             .collect::<Result<_, _>>()?,
         out,
-        at: at.unwrap_or_else(|| cobra_core::config::get().insts * 2 / 5),
+        at: at.unwrap_or_else(|| warmup_for(cobra_core::config::get().insts)),
         verify,
     })
 }

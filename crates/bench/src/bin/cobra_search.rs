@@ -155,7 +155,7 @@ fn eval_local(
     let design = designs::from_topology(&cand.topology, cand.ghist_bits, cand.lhist_entries);
     let cfg = CoreConfig::boom_4wide();
     let measure = config::get().insts;
-    let warmup = measure * 2 / 5;
+    let warmup = cobra_bench::warmup_for(measure);
     let mut out = Vec::with_capacity(specs.len());
     for (name, spec) in specs {
         let plan_path = plans.map(|d| d.join(plan_file_name(name)));

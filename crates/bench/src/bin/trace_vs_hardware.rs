@@ -13,7 +13,7 @@
 //! exactly, because capture preserves the instruction stream bit-for-bit.
 
 use cobra_bench::runner::parallel_map;
-use cobra_bench::{capture_workload, run_one};
+use cobra_bench::{capture_workload, run_one, warmup_for};
 use cobra_core::composer::Design;
 use cobra_core::designs;
 use cobra_uarch::{CoreConfig, TraceSim};
@@ -49,13 +49,13 @@ fn main() {
         let mut trace = TraceSim::new(design).expect("composes");
         let mut stream = spec.build();
         // Same warm-up discipline as the core runs.
-        trace.run(&mut stream, insts * 2 / 5);
+        trace.run(&mut stream, warmup_for(insts));
         let mut sim = TraceSim::new(design).expect("composes");
         let warm = {
             // Re-warm a fresh simulator on the same prefix so the
             // measured region matches the hardware run.
             let mut s = spec.build();
-            sim.run(&mut s, insts * 2 / 5);
+            sim.run(&mut s, warmup_for(insts));
             let before = *sim.stats();
             let after = sim.run(&mut s, insts);
             (before, after)
@@ -77,7 +77,7 @@ fn main() {
             let mut program =
                 TraceProgram::open(&path).unwrap_or_else(|e| panic!("replaying {w}: {e}"));
             let mut sim = TraceSim::new(design).expect("composes");
-            sim.run(&mut program, insts * 2 / 5);
+            sim.run(&mut program, warmup_for(insts));
             let before = *sim.stats();
             let after = sim.run(&mut program, insts);
             let cb = after.cond_branches - before.cond_branches;

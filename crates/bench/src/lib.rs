@@ -178,7 +178,7 @@ pub fn run_one_sourced(
     let started = Instant::now();
     let config = cobra_core::config::get();
     let measure = config.insts;
-    let warmup = measure * 2 / 5;
+    let warmup = warmup_for(measure);
     let sample_dir = config.sample_dir.as_deref();
     if let Some(plan_path) = existing_file(sample_dir, &sampling::plan_file_name(&spec.name)) {
         let plan = sampling::load_plan(&plan_path)
@@ -237,7 +237,7 @@ fn run_core<S: InstructionStream>(
     started: Instant,
 ) -> RunRecord {
     let measure = config.insts;
-    let warmup = measure * 2 / 5;
+    let warmup = warmup_for(measure);
     let mut core = Core::new(design, cfg, stream).expect("stock designs always compose");
     if let Some(tag) = tag {
         core.bpu_mut().retarget_env_tracer(tag);
@@ -382,13 +382,19 @@ fn restore_into<S: InstructionStream>(
     path
 }
 
+/// The warm-up run before a measured region of `measure` instructions:
+/// 40 % of it. Every harness, the checkpointer, the search and the serve
+/// executor warm up by this rule.
+pub const fn warmup_for(measure: u64) -> u64 {
+    measure * 2 / 5
+}
+
 /// The number of instructions [`capture_workload`] records for a measured
 /// region of `measure` instructions: warm-up (the harness's 40 %) plus
 /// the region itself plus fetch-ahead slack, so a replayed run never
 /// starves the frontend before the measured region completes.
 pub fn capture_len(measure: u64) -> u64 {
-    let warmup = measure * 2 / 5;
-    warmup + measure + measure / 10 + 16_384
+    warmup_for(measure) + measure + measure / 10 + 16_384
 }
 
 /// Captures `spec` to `<dir>/<name>.cbt` sized for a measured region of

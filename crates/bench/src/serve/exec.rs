@@ -24,6 +24,9 @@ use cobra_workloads::ProgramSpec;
 use super::cache::WarmCache;
 use std::sync::atomic::Ordering;
 
+/// Re-exported so serve clients size their expectations by the one rule.
+pub use crate::warmup_for;
+
 /// Which cache path served a job; rendered into the `result` event and
 /// the runner provenance line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,12 +63,6 @@ pub struct ExecOutcome {
 
 /// A committed-instruction progress callback: `(insts_done, target)`.
 pub type ProgressFn = Box<dyn FnMut(u64, u64) + Send>;
-
-/// The warmup bound for a measured region, matching the convention used
-/// everywhere else in the bench crate (`run_one_sourced`, golden tests).
-pub fn warmup_for(measure: u64) -> u64 {
-    measure * 2 / 5
-}
 
 /// Evaluates `(design, cfg, spec)` for `insts` measured instructions,
 /// consulting `cache` (when present) at both tiers and repopulating it.

@@ -637,7 +637,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             } => designs::from_topology(topology, *ghist_bits, *lhist_entries),
         };
         let spec = workload_by_name(&job.workload).expect("admission checked the workload");
-        let target_insts = super::exec::warmup_for(job.insts) + job.insts;
+        let target_insts = crate::warmup_for(job.insts) + job.insts;
         let stride = match shared.progress_stride {
             Some(s) => s,
             None => (job.insts / 4).max(1),

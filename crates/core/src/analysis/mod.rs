@@ -4,7 +4,9 @@
 //! into a [`DesignModel`] — instantiating each component once to read its
 //! declared latency, arity, metadata width, history requirements, field
 //! profile, storage, and index functions — and then runs static passes
-//! over it, without simulating a single fetch packet:
+//! over it, without simulating a single fetch packet. The model is the
+//! only elaboration in the crate: the composer compiles its
+//! [`PredictorPipeline`] from the model's own instances.
 //!
 //! * **L1 latency** — override chains must refine monotonically
 //!   ([`DiagCode::LatencyInversion`]) and selectors must not arbitrate
@@ -20,12 +22,13 @@
 //! * **L6 dataflow** ([`dataflow`]) — history-width inference, field-flow,
 //!   and index-interference analysis over propagated component metadata.
 //!
-//! A second tier cross-checks the *compiled* artifacts rather than the
+//! A second tier checks the *compiled* artifacts rather than the
 //! topology:
 //!
 //! * the **plan-soundness verifier** ([`planck`], `P0101`–`P0501`)
-//!   re-derives fold schedules and input wiring from component metadata
-//!   and checks the lowered [`ExecutionPlan`] against them — run via
+//!   re-derives fold schedules and input wiring from the facts of the
+//!   model a pipeline was compiled from and checks the lowered
+//!   [`ExecutionPlan`] against them — run via
 //!   [`verify_design_plan`], `cobra-lint --plan`, and (under
 //!   `COBRA_VERIFY_PLAN`) inside [`BranchPredictorUnit::build`];
 //! * the **resource model** ([`resource`], the `cobra-area` binary)
@@ -35,9 +38,12 @@
 //!
 //! Findings are [`Diagnostic`]s with stable codes, severities, spans into
 //! the topology text, and fix hints; an [`AnalysisReport`] renders them
-//! human-readable or as JSON. [`BranchPredictorUnit::build`] runs the
-//! error-level subset of these passes, so a defective design is rejected
-//! with diagnostics instead of producing a silently-broken pipeline.
+//! human-readable or as JSON. [`BranchPredictorUnit::build`] gates its
+//! one model on the error-level subset of these passes, so a defective
+//! design is rejected with diagnostics instead of producing a
+//! silently-broken pipeline; [`PredictorPipeline::compile`] refuses the
+//! five findings no pipeline can be built past (C0001, C0101, C0103,
+//! C0104, C0301).
 //!
 //! [`BranchPredictorUnit::build`]: crate::composer::BranchPredictorUnit::build
 //! [`ExecutionPlan`]: crate::composer::ExecutionPlan
@@ -214,15 +220,6 @@ impl AnalysisReport {
     }
 }
 
-/// Storage of the management structures [`BranchPredictorUnit::build`]
-/// would generate for this model, in bits. See
-/// [`resource::management_storage_report`] for the full report.
-///
-/// [`BranchPredictorUnit::build`]: crate::composer::BranchPredictorUnit::build
-fn management_storage_bits(model: &DesignModel, cfg: &AnalysisConfig) -> u64 {
-    resource::management_storage_report(model, cfg).total_bits()
-}
-
 /// Analyzes a raw topology string against `registry`.
 ///
 /// # Errors
@@ -254,7 +251,7 @@ pub fn analyze_topology(
         ghist_bits: model.ghist_bits,
         meta_bits: model.meta_bits_total(),
         component_storage_bits: model.component_storage_bits(),
-        management_storage_bits: management_storage_bits(&model, cfg),
+        management_storage_bits: management_storage_report(&model, cfg).total_bits(),
         components: model.components,
         diagnostics,
     })
@@ -280,24 +277,22 @@ pub fn analyze_design(
     )
 }
 
-/// Compiles `design`'s pipeline and runs the tier-1 plan-soundness
-/// verifier over its lowered [`ExecutionPlan`] (the `cobra-lint --plan`
-/// entry point).
+/// Elaborates `design` once, compiles its pipeline from that model and
+/// runs the tier-1 plan-soundness verifier over the lowered
+/// [`ExecutionPlan`] (the `cobra-lint --plan` entry point).
 ///
-/// Returns the verifier's diagnostics — empty when the plan is sound. The
-/// elaborated model rides along so per-node findings carry spans into the
-/// topology text.
+/// Returns the verifier's diagnostics — empty when the plan is sound.
+/// Per-node findings carry the model's spans into the topology text.
 ///
 /// # Errors
 ///
-/// Returns the composition error when the pipeline itself cannot be
-/// compiled (unknown components, invalid latencies, …) or the topology
-/// does not parse.
+/// [`ComposeError::Parse`] when the topology does not parse, or
+/// [`ComposeError::Analysis`] when the pipeline cannot be compiled (see
+/// [`PredictorPipeline::compile`]).
 ///
 /// [`ExecutionPlan`]: crate::composer::ExecutionPlan
 pub fn verify_design_plan(design: &Design, width: u8) -> Result<Vec<Diagnostic>, ComposeError> {
-    let pipeline = PredictorPipeline::from_design(design, width)?;
-    let model = DesignModel::build(
+    let mut model = DesignModel::build(
         &design.name,
         &design.topology,
         &design.registry,
@@ -305,28 +300,49 @@ pub fn verify_design_plan(design: &Design, width: u8) -> Result<Vec<Diagnostic>,
         design.ghist_bits,
         design.lhist_entries,
     )?;
-    Ok(verify_pipeline(&pipeline, Some(&model)))
+    let pipeline = PredictorPipeline::from_model(&mut model)?;
+    Ok(verify_pipeline(&pipeline, &model))
 }
 
-/// The build-time gate: rejects `design` when any error-level pass fires.
-///
-/// Run by [`BranchPredictorUnit::build`] after pipeline compilation, so a
-/// defective topology produces structured diagnostics instead of a
-/// silently-broken pipeline.
-///
-/// # Errors
-///
-/// [`ComposeError::Parse`] when the topology does not parse, or
-/// [`ComposeError::Analysis`] carrying every error-level diagnostic.
-///
-/// [`BranchPredictorUnit::build`]: crate::composer::BranchPredictorUnit::build
-pub fn gate_design(design: &Design, width: u8) -> Result<(), ComposeError> {
+/// The findings no pipeline can be compiled past: a compound left operand
+/// of `>` (C0001), an unknown name (C0101), an arity mismatch (C0103), an
+/// out-of-range latency (C0104) or metadata wider than 64 bits (C0301).
+/// [`PredictorPipeline::compile`] rejects exactly these; every other
+/// error-level finding is left to the build gate ([`gate_model`]).
+pub(crate) fn compile_errors(model: &DesignModel) -> Vec<Diagnostic> {
     let cfg = AnalysisConfig {
-        width,
+        width: model.width,
         ..AnalysisConfig::default()
     };
-    let report = analyze_design(design, &cfg)?;
-    let errors: Vec<Diagnostic> = report.errors().cloned().collect();
+    model
+        .resolution
+        .iter()
+        .cloned()
+        .chain(passes::structure(model))
+        .chain(passes::metadata(model, &cfg))
+        .filter(|d| {
+            matches!(
+                d.code,
+                DiagCode::ParseError
+                    | DiagCode::UnknownComponent
+                    | DiagCode::ArityMismatch
+                    | DiagCode::InvalidLatency
+                    | DiagCode::MetaTooWide
+            )
+        })
+        .collect()
+}
+
+/// `Err(ComposeError::Analysis)` carrying the error-level findings among
+/// `diagnostics`, in order; `Ok` when there are none.
+pub(crate) fn reject_errors<'a>(
+    diagnostics: impl IntoIterator<Item = &'a Diagnostic>,
+) -> Result<(), ComposeError> {
+    let errors: Vec<Diagnostic> = diagnostics
+        .into_iter()
+        .filter(|d| d.is_error())
+        .cloned()
+        .collect();
     if errors.is_empty() {
         Ok(())
     } else {
@@ -334,6 +350,25 @@ pub fn gate_design(design: &Design, width: u8) -> Result<(), ComposeError> {
             diagnostics: errors,
         })
     }
+}
+
+/// The build gate: rejects `model` when any error-level pass fires.
+///
+/// Run by [`BranchPredictorUnit::build`] on the one model it elaborates,
+/// before the pipeline is compiled from it, so a defective topology
+/// produces structured diagnostics instead of a silently-broken pipeline.
+///
+/// # Errors
+///
+/// [`ComposeError::Analysis`] carrying every error-level diagnostic.
+///
+/// [`BranchPredictorUnit::build`]: crate::composer::BranchPredictorUnit::build
+pub(crate) fn gate_model(model: &DesignModel) -> Result<(), ComposeError> {
+    let cfg = AnalysisConfig {
+        width: model.width,
+        ..AnalysisConfig::default()
+    };
+    reject_errors(&passes::run_all(model, &cfg))
 }
 
 /// The admission gate for raw topology strings: parses and lints
@@ -364,14 +399,8 @@ pub fn gate_topology(
         ..AnalysisConfig::default()
     };
     let report = analyze_topology(name, topology, registry, ghist_bits, lhist_entries, &cfg)?;
-    let errors: Vec<Diagnostic> = report.errors().cloned().collect();
-    if errors.is_empty() {
-        Ok(report)
-    } else {
-        Err(ComposeError::Analysis {
-            diagnostics: errors,
-        })
-    }
+    reject_errors(&report.diagnostics)?;
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -404,9 +433,10 @@ mod tests {
 
     #[test]
     fn gate_rejects_latency_inversion() {
-        let mut d = designs::tage_l();
-        d.topology = "UBTB1 > BIM2".into();
-        let err = gate_design(&d, 8).unwrap_err();
+        let d = designs::tage_l();
+        let model =
+            DesignModel::build(&d.name, "UBTB1 > BIM2", &d.registry, 8, d.ghist_bits, 0).unwrap();
+        let err = gate_model(&model).unwrap_err();
         match err {
             ComposeError::Analysis { diagnostics } => {
                 assert!(diagnostics.iter().all(|d| d.is_error()));

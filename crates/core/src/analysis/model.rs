@@ -1,15 +1,21 @@
-//! The resolved design model the analysis passes run over.
+//! The resolved design model the analysis passes run over, and the one
+//! elaboration of a topology.
 //!
 //! A [`DesignModel`] is the static elaboration of a topology against a
-//! component registry: every resolvable component is instantiated once to
-//! read its declared properties (latency, arity, metadata width, history
-//! requirements, field profile, storage), and the override/arbitration
-//! structure is captured as an input graph in dataflow order. Unresolvable
-//! names become structural diagnostics instead of failures, so the passes
-//! can still report on the rest of the design.
+//! component registry: every resolvable component is instantiated once,
+//! its declared properties (latency, arity, metadata width, history
+//! requirements, field profile, storage) are read, and the
+//! override/arbitration structure is captured as an input graph in
+//! dataflow order. Unresolvable names become structural diagnostics
+//! instead of failures, so the passes can still report on the rest of the
+//! design. The instances are kept: the composer compiles its pipeline
+//! from them ([`PredictorPipeline::from_design`]), so no topology is ever
+//! walked or instantiated a second time.
+//!
+//! [`PredictorPipeline::from_design`]: crate::composer::PredictorPipeline::from_design
 
 use super::diagnostics::{DiagCode, Diagnostic};
-use crate::composer::{ComponentRegistry, Topology};
+use crate::composer::{ComponentKind, ComponentRegistry, Topology};
 use crate::error::{ComposeError, Span};
 use crate::iface::{Component, FieldProfile};
 
@@ -75,6 +81,9 @@ pub struct DesignModel {
     /// Diagnostics produced during resolution (unknown components,
     /// malformed operands).
     pub resolution: Vec<Diagnostic>,
+    /// The instances [`components`](Self::components) describe, index for
+    /// index, until a pipeline compiled from the model takes them.
+    pub(crate) instances: Vec<ComponentKind>,
 }
 
 impl DesignModel {
@@ -94,25 +103,62 @@ impl DesignModel {
         lhist_entries: u64,
     ) -> Result<Self, ComposeError> {
         let (topo, spans) = Topology::parse_spanned(topology_text)?;
+        Ok(Self {
+            name: name.into(),
+            ghist_bits,
+            lhist_entries,
+            ..Self::elaborate(&topo, spans, topology_text.into(), registry, width)
+        })
+    }
+
+    /// Elaborates an already-parsed `topology` with no history providers.
+    /// `spans` locate its component names in textual order; with `&[]`
+    /// they are recovered from the topology's rendering, which becomes
+    /// the model's text.
+    pub(crate) fn from_topology(
+        topology: &Topology,
+        spans: &[Span],
+        registry: &ComponentRegistry,
+        width: u8,
+    ) -> Self {
+        let text = topology.to_string();
+        let spans = match spans {
+            [] => Topology::parse_spanned(&text)
+                .map(|(_, spans)| spans)
+                .unwrap_or_default(),
+            given => given.to_vec(),
+        };
+        Self::elaborate(topology, spans, text, registry, width)
+    }
+
+    fn elaborate(
+        topology: &Topology,
+        spans: Vec<Span>,
+        text: String,
+        registry: &ComponentRegistry,
+        width: u8,
+    ) -> Self {
         let mut b = Builder {
             registry,
             width,
             spans,
             next_occurrence: 0,
             components: Vec::new(),
+            instances: Vec::new(),
             resolution: Vec::new(),
         };
-        let final_node = b.visit(&topo);
-        Ok(Self {
-            name: name.into(),
-            topology: topology_text.into(),
+        let final_node = b.visit(topology);
+        Self {
+            name: "<topology>".into(),
+            topology: text,
             width,
-            ghist_bits,
-            lhist_entries,
+            ghist_bits: 0,
+            lhist_entries: 0,
             components: b.components,
             final_node,
             resolution: b.resolution,
-        })
+            instances: b.instances,
+        }
     }
 
     /// All component indices in the subtree rooted at `idx` (including
@@ -157,6 +203,7 @@ struct Builder<'a> {
     spans: Vec<Span>,
     next_occurrence: usize,
     components: Vec<ComponentInfo>,
+    instances: Vec<ComponentKind>,
     resolution: Vec<Diagnostic>,
 }
 
@@ -254,6 +301,7 @@ impl Builder<'_> {
             declared_inputs,
             is_selector,
         });
+        self.instances.push(c);
         Some(self.components.len() - 1)
     }
 }

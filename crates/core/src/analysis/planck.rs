@@ -1,27 +1,29 @@
 //! Tier-1 plan-soundness verifier (`P0101`–`P0501`).
 //!
-//! [`PredictorPipeline::compile`] lowers a topology twice: once into the
-//! node array the reference interpreter walks, and once into the
+//! [`PredictorPipeline::compile`] lowers the elaborated [`DesignModel`]
+//! into the node array the reference interpreter walks and into the
 //! [`ExecutionPlan`] — precomputed per-stage fold schedules and flattened
 //! input arrays — that drives the devirtualized per-packet hot path. The
-//! two representations are only useful if they agree, and until now that
-//! agreement was guaranteed solely by runtime byte-identity tests.
+//! two representations are only useful if they agree, and runtime
+//! byte-identity tests alone can only show that for the packets they run.
 //!
-//! This module re-derives, from component metadata alone, everything the
-//! lowering precomputed — which nodes' composed outputs can change at each
-//! stage, which input edges feed each fold, which nodes receive histories —
-//! and cross-checks the plan against it statically, without running a
-//! single fetch packet. A node whose output can change at stage *s* but is
-//! missing from the stage-*s* schedule ([`DiagCode::PlanScheduleMissing`])
-//! would serve a stale composition; an input array that is not bijective
-//! with the topology's edges ([`DiagCode::PlanInputMismatch`]) folds the
-//! wrong predictions. Both are invisible to a lint of the topology text
-//! and may be invisible even to runtime tests if no packet exercises the
-//! divergent stage.
+//! This module re-derives, from the model's component facts alone,
+//! everything the lowering precomputed — which nodes' composed outputs
+//! can change at each stage, which input edges feed each fold, which nodes
+//! receive histories — and checks the plan against it statically, without
+//! running a single fetch packet. A node whose output can change at stage
+//! *s* but is missing from the stage-*s* schedule
+//! ([`DiagCode::PlanScheduleMissing`]) would serve a stale composition; an
+//! input array that is not bijective with the topology's edges
+//! ([`DiagCode::PlanInputMismatch`]) folds the wrong predictions; a plan
+//! array that does not cover the model's node set
+//! ([`DiagCode::PlanNodeCount`]) cannot be checked further. All are
+//! invisible to a lint of the topology text and may be invisible even to
+//! runtime tests if no packet exercises the divergent stage.
 //!
-//! The verifier runs inside [`BranchPredictorUnit::build`] when
-//! `COBRA_VERIFY_PLAN` is set (CI sets it unconditionally), and on demand
-//! via `cobra-lint --plan`.
+//! The verifier runs inside [`BranchPredictorUnit::build`] on the model
+//! the build elaborated when `COBRA_VERIFY_PLAN` is set (CI sets it
+//! unconditionally), and on demand via `cobra-lint --plan`.
 //!
 //! [`PredictorPipeline::compile`]: crate::composer::PredictorPipeline::compile
 //! [`ExecutionPlan`]: crate::composer::ExecutionPlan
@@ -29,86 +31,34 @@
 
 use super::diagnostics::{DiagCode, Diagnostic};
 use super::model::DesignModel;
-use crate::composer::{ExecutionPlan, NodeFacts, PredictorPipeline};
+use crate::composer::{ExecutionPlan, PredictorPipeline};
 
-/// Statically cross-checks `pipeline`'s lowered plan against its own node
-/// array and (when given) the elaborated `model`.
+/// Statically checks `pipeline`'s lowered plan against `model`, the
+/// elaboration it was compiled from.
 ///
 /// Returns one diagnostic per disagreement; an empty vector certifies that
 /// the plan is sound: every fold schedule covers exactly the nodes whose
 /// outputs can change at that stage, the input arrays are bijective with
 /// the topology's edges, and the cached per-node metadata matches the
 /// components' declarations.
-pub fn verify_pipeline(
-    pipeline: &PredictorPipeline,
-    model: Option<&DesignModel>,
-) -> Vec<Diagnostic> {
-    let facts = pipeline.node_facts();
+pub fn verify_pipeline(pipeline: &PredictorPipeline, model: &DesignModel) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    if let Some(m) = model {
-        cross_check_model(&facts, m, &mut diags);
-    }
-    check_plan(&facts, pipeline.plan(), pipeline.depth(), model, &mut diags);
+    check_plan(model, pipeline.plan(), &mut diags);
     diags
 }
 
-/// The elaborated model and the compiled pipeline must agree on the node
-/// set before any deeper check is meaningful.
-fn cross_check_model(facts: &[NodeFacts], model: &DesignModel, diags: &mut Vec<Diagnostic>) {
-    if model.components.len() != facts.len() {
-        diags.push(Diagnostic::new(
-            DiagCode::PlanNodeCount,
-            format!(
-                "elaborated design has {} component(s) but the compiled pipeline has {}",
-                model.components.len(),
-                facts.len()
-            ),
-        ));
-        return;
-    }
-    for (i, (f, c)) in facts.iter().zip(&model.components).enumerate() {
-        if f.label != c.label {
-            diags.push(
-                Diagnostic::new(
-                    DiagCode::PlanNodeCount,
-                    format!(
-                        "node {i} is `{}` in the elaborated design but `{}` in the pipeline",
-                        c.label, f.label
-                    ),
-                )
-                .with_span(c.span),
-            );
-        }
-    }
-}
-
-/// Attaches the offending component's label and span when the model knows
-/// the node.
-fn attribute(
-    d: Diagnostic,
-    i: usize,
-    facts: &[NodeFacts],
-    model: Option<&DesignModel>,
-) -> Diagnostic {
-    let mut d = d.with_component(facts[i].label.clone());
-    if let Some(c) = model.and_then(|m| m.components.get(i)) {
-        if c.label == facts[i].label {
-            d = d.with_span(c.span);
-        }
-    }
-    d
+/// Attaches node `i`'s label and span.
+fn attribute(d: Diagnostic, i: usize, model: &DesignModel) -> Diagnostic {
+    let c = &model.components[i];
+    d.with_component(c.label.clone()).with_span(c.span)
 }
 
 /// The core checks: plan arrays and schedules against re-derived ground
 /// truth. Exposed to unit tests so tampered plans can be checked without a
 /// way to mutate a compiled pipeline.
-pub(crate) fn check_plan(
-    facts: &[NodeFacts],
-    plan: &ExecutionPlan,
-    depth: u8,
-    model: Option<&DesignModel>,
-    diags: &mut Vec<Diagnostic>,
-) {
+pub(crate) fn check_plan(model: &DesignModel, plan: &ExecutionPlan, diags: &mut Vec<Diagnostic>) {
+    let facts = &model.components;
+    let depth = model.depth();
     let n = facts.len();
 
     // P0501: every per-node plan array must cover exactly the node set.
@@ -145,7 +95,6 @@ pub(crate) fn check_plan(
                     "register the component with `register_kind` so lowering sees a stock variant",
                 ),
                 i,
-                facts,
                 model,
             ));
         }
@@ -163,7 +112,6 @@ pub(crate) fn check_plan(
                     ),
                 ),
                 i,
-                facts,
                 model,
             ));
         }
@@ -178,7 +126,6 @@ pub(crate) fn check_plan(
                     ),
                 ),
                 i,
-                facts,
                 model,
             ));
         }
@@ -200,7 +147,6 @@ pub(crate) fn check_plan(
                     ),
                 ),
                 i,
-                facts,
                 model,
             ));
             return; // ranges are broken; per-edge checks would misfire
@@ -220,7 +166,6 @@ pub(crate) fn check_plan(
                     ),
                 ),
                 i,
-                facts,
                 model,
             ));
         }
@@ -234,7 +179,6 @@ pub(crate) fn check_plan(
                     ),
                 ),
                 i,
-                facts,
                 model,
             ));
         }
@@ -304,7 +248,6 @@ pub(crate) fn check_plan(
                         ),
                     ),
                     i,
-                    facts,
                     model,
                 ));
             }
@@ -319,7 +262,6 @@ pub(crate) fn check_plan(
                         ),
                     ),
                     i,
-                    facts,
                     model,
                 ));
             }
@@ -334,44 +276,47 @@ mod tests {
     use crate::composer::PredictorPipeline;
     use crate::designs;
 
-    fn facts_and_plan(d: &crate::composer::Design) -> (Vec<NodeFacts>, ExecutionPlan, u8) {
-        let p = PredictorPipeline::from_design(d, 8).unwrap();
-        (p.node_facts(), p.plan().clone(), p.depth())
+    fn model_and_plan(d: &crate::composer::Design) -> (DesignModel, ExecutionPlan) {
+        let mut m =
+            DesignModel::build(&d.name, &d.topology, &d.registry, 8, d.ghist_bits, 256).unwrap();
+        let p = PredictorPipeline::from_model(&mut m).unwrap();
+        (m, p.plan().clone())
     }
 
     #[test]
     fn stock_designs_verify_clean() {
         for d in designs::catalog() {
-            let p = PredictorPipeline::from_design(&d, 8).unwrap();
-            let m = DesignModel::build(&d.name, &d.topology, &d.registry, 8, d.ghist_bits, 256)
+            let mut m = DesignModel::build(&d.name, &d.topology, &d.registry, 8, d.ghist_bits, 256)
                 .unwrap();
-            let diags = verify_pipeline(&p, Some(&m));
+            let p = PredictorPipeline::from_model(&mut m).unwrap();
+            let diags = verify_pipeline(&p, &m);
             assert!(diags.is_empty(), "{}: {:?}", d.name, diags);
         }
     }
 
     #[test]
     fn dropped_schedule_entry_is_p0102() {
-        let (facts, mut plan, depth) = facts_and_plan(&designs::tage_l());
+        let (m, mut plan) = model_and_plan(&designs::tage_l());
         let dropped = plan.stage_sched.last_mut().unwrap().pop().unwrap();
         let mut diags = Vec::new();
-        check_plan(&facts, &plan, depth, None, &mut diags);
+        check_plan(&m, &plan, &mut diags);
         assert!(
             diags.iter().any(|d| d.code == DiagCode::PlanScheduleMissing
-                && d.component.as_deref() == Some(facts[dropped as usize].label.as_str())),
+                && d.component.as_deref() == Some(m.components[dropped as usize].label.as_str())),
             "{diags:?}"
         );
     }
 
     #[test]
     fn extra_schedule_entry_is_p0103() {
-        let (facts, mut plan, depth) = facts_and_plan(&designs::b2());
+        let (m, mut plan) = model_and_plan(&designs::b2());
         // BIM2 has latency 2 in B2; it cannot re-fold at the final stage 3
         // unless an input changed — it has exactly one input (none: it is
         // the chain bottom), so scheduling it there is spurious.
-        let bottom = facts
+        let bottom = m
+            .components
             .iter()
-            .position(|f| f.inputs.is_empty() && f.latency < depth)
+            .position(|f| f.inputs.is_empty() && f.latency < m.depth())
             .unwrap() as u32;
         let last = plan.stage_sched.last_mut().unwrap();
         if !last.contains(&bottom) {
@@ -379,7 +324,7 @@ mod tests {
             last.sort_unstable();
         }
         let mut diags = Vec::new();
-        check_plan(&facts, &plan, depth, None, &mut diags);
+        check_plan(&m, &plan, &mut diags);
         assert!(
             diags
                 .iter()
@@ -390,11 +335,11 @@ mod tests {
 
     #[test]
     fn wrong_latency_cache_is_p0301_and_p0302() {
-        let (facts, mut plan, depth) = facts_and_plan(&designs::b2());
+        let (m, mut plan) = model_and_plan(&designs::b2());
         plan.latency[0] = 1;
         plan.wants_hist[0] = false;
         let mut diags = Vec::new();
-        check_plan(&facts, &plan, depth, None, &mut diags);
+        check_plan(&m, &plan, &mut diags);
         assert!(diags
             .iter()
             .any(|d| d.code == DiagCode::PlanLatencyMismatch));
@@ -404,13 +349,17 @@ mod tests {
 
     #[test]
     fn scrambled_inputs_are_p0201() {
-        let (facts, mut plan, depth) = facts_and_plan(&designs::tournament());
+        let (m, mut plan) = model_and_plan(&designs::tournament());
         // Swap the selector's two arm edges.
-        let sel = facts.iter().position(|f| f.inputs.len() == 2).unwrap();
+        let sel = m
+            .components
+            .iter()
+            .position(|f| f.inputs.len() == 2)
+            .unwrap();
         let (lo, _) = plan.input_range[sel];
         plan.input_ix.swap(lo as usize, lo as usize + 1);
         let mut diags = Vec::new();
-        check_plan(&facts, &plan, depth, None, &mut diags);
+        check_plan(&m, &plan, &mut diags);
         assert!(
             diags.iter().any(|d| d.code == DiagCode::PlanInputMismatch),
             "{diags:?}"
@@ -419,19 +368,19 @@ mod tests {
 
     #[test]
     fn missing_stage_is_p0101() {
-        let (facts, mut plan, depth) = facts_and_plan(&designs::tage_l());
+        let (m, mut plan) = model_and_plan(&designs::tage_l());
         plan.stage_sched.pop();
         let mut diags = Vec::new();
-        check_plan(&facts, &plan, depth, None, &mut diags);
+        check_plan(&m, &plan, &mut diags);
         assert!(diags.iter().any(|d| d.code == DiagCode::PlanStageCount));
     }
 
     #[test]
     fn short_arrays_are_p0501() {
-        let (facts, mut plan, depth) = facts_and_plan(&designs::b2());
+        let (m, mut plan) = model_and_plan(&designs::b2());
         plan.latency.pop();
         let mut diags = Vec::new();
-        check_plan(&facts, &plan, depth, None, &mut diags);
+        check_plan(&m, &plan, &mut diags);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, DiagCode::PlanNodeCount);
     }

@@ -21,16 +21,14 @@
 
 use super::model::DesignModel;
 use super::AnalysisConfig;
-use crate::composer::{
-    GlobalHistoryProvider, HistoryFile, LocalHistoryProvider, PathHistoryProvider,
-};
+use crate::composer::Management;
 use crate::obs::trace::json_str;
 use crate::types::StorageReport;
 use cobra_sim::PortKind;
 
 /// Storage of the management structures [`BranchPredictorUnit::build`]
-/// would generate for this model, mirroring its construction (and merge
-/// order) exactly.
+/// would generate for this model — sized by the same function the build
+/// uses.
 ///
 /// Returns an empty report when the design wants a local history wider
 /// than the 64-bit provider limit — the provider cannot be built and
@@ -38,31 +36,8 @@ use cobra_sim::PortKind;
 ///
 /// [`BranchPredictorUnit::build`]: crate::composer::BranchPredictorUnit::build
 pub fn management_storage_report(model: &DesignModel, cfg: &AnalysisConfig) -> StorageReport {
-    let lhist_bits = model
-        .components
-        .iter()
-        .map(|c| c.local_history_bits)
-        .max()
-        .unwrap_or(0);
-    if lhist_bits > 64 {
-        return StorageReport::new();
-    }
-    let lhist_entries = if lhist_bits == 0 {
-        1
-    } else {
-        model.lhist_entries.max(1)
-    };
-    let hf = HistoryFile::new(
-        cfg.history_file_entries,
-        model.ghist_bits,
-        lhist_bits,
-        model.meta_bits_total(),
-    );
-    let mut r = hf.storage();
-    r.merge(&GlobalHistoryProvider::new(model.ghist_bits).storage());
-    r.merge(&LocalHistoryProvider::new(lhist_entries.next_power_of_two(), lhist_bits).storage());
-    r.merge(&PathHistoryProvider::new(16).storage());
-    r
+    Management::size(model, cfg.history_file_entries)
+        .map_or_else(StorageReport::new, |m| m.storage())
 }
 
 /// One design's static storage budget: per-component reports plus the

@@ -35,6 +35,7 @@
 //!    [`commit_front`](BranchPredictorUnit::commit_front), which issues
 //!    commit-time `update` events.
 
+use crate::analysis::DesignModel;
 use crate::composer::history_file::{pack_bits, EntryPhase, HistoryFile, HistoryFileEntry};
 use crate::composer::pipeline::PredictorPipeline;
 use crate::composer::providers::{
@@ -126,6 +127,58 @@ pub struct CommittedPacket {
     pub mispredicted_slot: Option<u8>,
 }
 
+/// The management structures the composer generates around a pipeline:
+/// the history file and the three history providers.
+pub(crate) struct Management {
+    pub(crate) hf: HistoryFile,
+    pub(crate) ghist: GlobalHistoryProvider,
+    pub(crate) lhist: LocalHistoryProvider,
+    pub(crate) phist: PathHistoryProvider,
+}
+
+impl Management {
+    /// Sizes the structures for `model` with a `history_file_entries`-deep
+    /// history file: the widest local history any component wants, the
+    /// summed metadata, and a 16-bit path history. `None` when a component
+    /// wants more than the provider's 64 local-history bits (`C0108`).
+    pub(crate) fn size(model: &DesignModel, history_file_entries: usize) -> Option<Self> {
+        let lhist_bits = model
+            .components
+            .iter()
+            .map(|c| c.local_history_bits)
+            .max()
+            .unwrap_or(0);
+        if lhist_bits > 64 {
+            return None;
+        }
+        let lhist_entries = if lhist_bits == 0 {
+            1
+        } else {
+            model.lhist_entries.max(1)
+        };
+        Some(Self {
+            hf: HistoryFile::new(
+                history_file_entries,
+                model.ghist_bits,
+                lhist_bits,
+                model.meta_bits_total(),
+            ),
+            ghist: GlobalHistoryProvider::new(model.ghist_bits),
+            lhist: LocalHistoryProvider::new(lhist_entries.next_power_of_two(), lhist_bits),
+            phist: PathHistoryProvider::new(16),
+        })
+    }
+
+    /// Storage of all four structures (Fig 8's "Meta" bar).
+    pub(crate) fn storage(&self) -> StorageReport {
+        let mut r = self.hf.storage();
+        r.merge(&self.ghist.storage());
+        r.merge(&self.lhist.storage());
+        r.merge(&self.phist.storage());
+        r
+    }
+}
+
 /// The complete predictor unit generated by the composer.
 pub struct BranchPredictorUnit {
     pipeline: PredictorPipeline,
@@ -157,65 +210,49 @@ pub struct BranchPredictorUnit {
 impl BranchPredictorUnit {
     /// Compiles `design` and generates the management structures.
     ///
+    /// The topology is parsed and its components instantiated once, into
+    /// one [`DesignModel`]: the error-level analysis passes gate it, the
+    /// pipeline takes its instances, and (under `COBRA_VERIFY_PLAN`) the
+    /// plan verifier checks the lowered plan against it.
+    ///
     /// # Errors
     ///
-    /// Propagates [`ComposeError`]s from topology parsing and pipeline
-    /// compilation.
+    /// [`ComposeError::Parse`] when the topology does not parse, or
+    /// [`ComposeError::Analysis`] carrying every error-level diagnostic.
     pub fn build(design: &Design, cfg: BpuConfig) -> Result<Self, ComposeError> {
-        let pipeline = PredictorPipeline::from_design(design, cfg.fetch_width)?;
+        let mut model = DesignModel::build(
+            &design.name,
+            &design.topology,
+            &design.registry,
+            cfg.fetch_width,
+            design.ghist_bits,
+            design.lhist_entries,
+        )?;
         // Static analysis gate: reject designs with error-level findings
         // (latency inversions, shadowed components, over-wide metadata, …)
         // with structured diagnostics instead of building a pipeline whose
         // composition semantics are silently broken.
-        crate::analysis::gate_design(design, cfg.fetch_width)?;
+        crate::analysis::gate_model(&model)?;
+        let pipeline = PredictorPipeline::from_model(&mut model)?;
         // Plan-soundness verifier (opt-in via COBRA_VERIFY_PLAN; CI sets
-        // it unconditionally): statically cross-check the lowered
-        // ExecutionPlan against the elaborated design. Errors reject the
-        // build; warnings (e.g. the Custom lowering fallback, P0401) are
-        // reported but do not block.
+        // it unconditionally): statically check the lowered ExecutionPlan
+        // against the model. Errors reject the build; warnings (e.g. the
+        // Custom lowering fallback, P0401) are reported but do not block.
         let config = crate::config::get();
         if config.verify_plan {
-            let model = crate::analysis::DesignModel::build(
-                &design.name,
-                &design.topology,
-                &design.registry,
-                cfg.fetch_width,
-                design.ghist_bits,
-                design.lhist_entries,
-            )?;
-            let diags = crate::analysis::verify_pipeline(&pipeline, Some(&model));
-            let (errors, rest): (Vec<_>, Vec<_>) = diags.into_iter().partition(|d| d.is_error());
-            for d in &rest {
+            let diags = crate::analysis::verify_pipeline(&pipeline, &model);
+            for d in diags.iter().filter(|d| !d.is_error()) {
                 eprintln!("{}: {}", design.name, d.render(&design.topology));
             }
-            if !errors.is_empty() {
-                return Err(ComposeError::Analysis {
-                    diagnostics: errors,
-                });
-            }
+            crate::analysis::reject_errors(&diags)?;
         }
-        let lhist_bits = pipeline.local_history_bits();
-        if lhist_bits > 64 {
-            return Err(ComposeError::LocalHistoryTooWide {
-                component: pipeline
-                    .widest_local_history_component()
-                    .unwrap_or_default(),
-                bits: lhist_bits,
-            });
-        }
-        let lhist_entries = if lhist_bits == 0 {
-            1
-        } else {
-            design.lhist_entries.max(1)
-        };
-        let ghist = GlobalHistoryProvider::new(design.ghist_bits);
-        let lhist = LocalHistoryProvider::new(lhist_entries.next_power_of_two(), lhist_bits);
-        let hf = HistoryFile::new(
-            cfg.history_file_entries,
-            design.ghist_bits,
-            lhist_bits,
-            pipeline.meta_bits(),
-        );
+        let Management {
+            hf,
+            ghist,
+            lhist,
+            phist,
+        } = Management::size(&model, cfg.history_file_entries)
+            .expect("the gate rejects local histories wider than 64 bits (C0108)");
         let labels: Vec<String> = pipeline.labels().iter().map(|s| s.to_string()).collect();
         let obs = StatsSink::new(labels.clone());
         let mut tracers = Vec::new();
@@ -235,7 +272,7 @@ impl BranchPredictorUnit {
             pipeline,
             ghist,
             lhist,
-            phist: PathHistoryProvider::new(16),
+            phist,
             hf,
             cfg,
             cycle: 0,

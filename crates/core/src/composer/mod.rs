@@ -30,11 +30,11 @@ mod providers;
 mod registry;
 mod topology;
 
+pub(crate) use bpu::Management;
 pub use bpu::{
     BpuConfig, BpuStats, BranchPredictorUnit, CommittedPacket, GhistRepairMode, PacketId,
 };
 pub use history_file::{HistoryFile, HistoryFileEntry};
-pub(crate) use pipeline::NodeFacts;
 pub use pipeline::{PacketPrediction, PredictorPipeline, StageDescription, MAX_DEPTH};
 pub use plan::{ComponentKind, ExecutionPlan};
 pub use providers::{GlobalHistoryProvider, LocalHistoryProvider, PathHistoryProvider};

@@ -1,7 +1,9 @@
 //! The compiled predictor pipeline (paper Section IV-B).
 //!
-//! [`PredictorPipeline::compile`] elaborates a [`Topology`] against a
-//! [`ComponentRegistry`] into a DAG of component nodes. Per fetch packet,
+//! [`PredictorPipeline::compile`] lowers the analyzer's elaboration of a
+//! [`Topology`] against a [`ComponentRegistry`] (a [`DesignModel`]) into a
+//! DAG of component nodes, taking over the instances the model built.
+//! Per fetch packet,
 //! [`PredictorPipeline::predict_packet`] queries every node once (history
 //! is withheld from latency-1 nodes) and then folds the DAG once per
 //! pipeline stage `d = 1..=depth`:
@@ -16,6 +18,7 @@
 //! `d` cycles after query", including the natural carrying-forward of
 //! early predictions into later stages (Fig 4).
 
+use crate::analysis::{reject_errors, DesignModel};
 use crate::composer::plan::{ComponentKind, ExecutionPlan, PlanScratch};
 use crate::composer::registry::{ComponentRegistry, Design};
 use crate::composer::topology::Topology;
@@ -35,16 +38,6 @@ struct Node {
     component: ComponentKind,
     inputs: Vec<usize>,
     label: String,
-}
-
-/// Static facts about one pipeline node, extracted for the plan verifier
-/// (which must not peek at the plan itself to re-derive ground truth).
-#[derive(Debug, Clone)]
-pub(crate) struct NodeFacts {
-    pub(crate) label: String,
-    pub(crate) latency: u8,
-    pub(crate) is_custom: bool,
-    pub(crate) inputs: Vec<usize>,
 }
 
 /// A compiled predictor pipeline: component nodes in dataflow order, the
@@ -96,9 +89,12 @@ impl PredictorPipeline {
     ///
     /// # Errors
     ///
-    /// Returns a [`ComposeError`] when a component name is unregistered, an
-    /// arbiter's arity does not match its inputs, a latency is out of
-    /// range, or a metadata declaration exceeds 64 bits.
+    /// Returns [`ComposeError::Analysis`] carrying the findings no pipeline
+    /// can be compiled past: a compound left operand of `>` (`C0001`), an
+    /// unregistered name (`C0101`), an arbiter whose arity does not match
+    /// its inputs (`C0103`), a latency outside `1..=MAX_DEPTH` (`C0104`),
+    /// or a metadata declaration wider than 64 bits (`C0301`). Spans index
+    /// into the topology's rendering (`topology.to_string()`).
     pub fn compile(
         topology: &Topology,
         registry: &ComponentRegistry,
@@ -108,42 +104,75 @@ impl PredictorPipeline {
     }
 
     /// [`compile`](Self::compile) with the component-name spans from
-    /// [`Topology::parse_spanned`], so an unknown name is reported with
-    /// its exact location in the topology text. `spans` is in textual
+    /// [`Topology::parse_spanned`], so a finding is reported at its exact
+    /// location in the caller's topology text. `spans` is in textual
     /// (`component_names`) order; pass `&[]` when no source text exists.
     ///
     /// # Errors
     ///
-    /// As [`compile`](Self::compile).
+    /// As [`compile`](Self::compile), with spans into the caller's text.
     pub fn compile_spanned(
         topology: &Topology,
         spans: &[Span],
         registry: &ComponentRegistry,
         width: u8,
     ) -> Result<Self, ComposeError> {
-        let mut nodes = Vec::new();
-        let mut cursor = 0usize;
-        let final_node =
-            Self::build_node(topology, spans, &mut cursor, registry, width, &mut nodes)?;
-        let mut depth = 1;
-        for n in &nodes {
-            let lat = n.component.latency();
-            if lat == 0 || lat > MAX_DEPTH {
-                return Err(ComposeError::InvalidLatency {
-                    component: n.label.clone(),
-                    latency: lat,
-                });
-            }
-            if n.component.meta_bits() > 64 {
-                return Err(ComposeError::MetadataTooWide {
-                    component: n.label.clone(),
-                    bits: n.component.meta_bits(),
-                });
-            }
-            depth = depth.max(lat);
-        }
-        let latencies: Vec<u8> = nodes.iter().map(|n| n.component.latency()).collect();
-        let custom: Vec<bool> = nodes.iter().map(|n| n.component.is_custom()).collect();
+        Self::from_model(&mut DesignModel::from_topology(
+            topology, spans, registry, width,
+        ))
+    }
+
+    /// Compiles the design's topology string against its registry.
+    ///
+    /// # Errors
+    ///
+    /// [`ComposeError::Parse`] when the topology does not parse, else as
+    /// [`compile`](Self::compile).
+    pub fn from_design(design: &Design, width: u8) -> Result<Self, ComposeError> {
+        Self::from_model(&mut DesignModel::build(
+            &design.name,
+            &design.topology,
+            &design.registry,
+            width,
+            design.ghist_bits,
+            design.lhist_entries,
+        )?)
+    }
+
+    /// Compiles the pipeline from `model`, moving its component instances
+    /// into the nodes; the model keeps every fact it read from them.
+    ///
+    /// # Errors
+    ///
+    /// As [`compile`](Self::compile).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model's instances were already taken by another
+    /// pipeline.
+    pub(crate) fn from_model(model: &mut DesignModel) -> Result<Self, ComposeError> {
+        reject_errors(&crate::analysis::compile_errors(model))?;
+        let instances = std::mem::take(&mut model.instances);
+        assert_eq!(
+            instances.len(),
+            model.components.len(),
+            "a design model compiles into one pipeline"
+        );
+        let final_node = model
+            .final_node
+            .expect("a model without resolution errors has a root");
+        let nodes: Vec<Node> = instances
+            .into_iter()
+            .zip(&model.components)
+            .map(|(component, c)| Node {
+                component,
+                inputs: c.inputs.clone(),
+                label: c.label.clone(),
+            })
+            .collect();
+        let depth = model.depth();
+        let latencies: Vec<u8> = model.components.iter().map(|c| c.latency).collect();
+        let custom: Vec<bool> = model.components.iter().map(|c| c.is_custom).collect();
         let plan = ExecutionPlan::lower(nodes.len(), depth, latencies, &custom, |i| {
             nodes[i].inputs.clone()
         });
@@ -157,100 +186,13 @@ impl PredictorPipeline {
             nodes,
             final_node,
             depth,
-            width,
+            width: model.width,
             plan,
             scratch: PlanScratch::default(),
             plan_enabled: config.plan,
             sanitize: config.sanitize,
             profiler,
         })
-    }
-
-    /// Builds the node array for `t`. `cursor` tracks the next unconsumed
-    /// entry of `spans` in *textual* order (the order
-    /// [`Topology::parse_spanned`] emits): a leaf consumes one span; `a > b`
-    /// consumes `a`'s span, then `b`'s subtree; an arbiter consumes the
-    /// selector's span, then each arm in source order.
-    fn build_node(
-        t: &Topology,
-        spans: &[Span],
-        cursor: &mut usize,
-        registry: &ComponentRegistry,
-        width: u8,
-        nodes: &mut Vec<Node>,
-    ) -> Result<usize, ComposeError> {
-        let next_span = |cursor: &mut usize| {
-            let s = spans.get(*cursor).copied();
-            *cursor += 1;
-            s
-        };
-        match t {
-            Topology::Leaf(name) => {
-                let span = next_span(cursor);
-                Self::add_component(name, span, registry, width, vec![], nodes)
-            }
-            Topology::Over(a, b) => match &**a {
-                Topology::Leaf(name) => {
-                    let span = next_span(cursor);
-                    let below = Self::build_node(b, spans, cursor, registry, width, nodes)?;
-                    Self::add_component(name, span, registry, width, vec![below], nodes)
-                }
-                other => Err(ComposeError::Parse {
-                    reason: format!(
-                        "the left operand of `>` must be a single component, found `{other}`"
-                    ),
-                    span: crate::error::Span::point(0),
-                }),
-            },
-            Topology::Arbiter { selector, inputs } => {
-                let span = next_span(cursor);
-                let mut ins = Vec::with_capacity(inputs.len());
-                for i in inputs {
-                    ins.push(Self::build_node(i, spans, cursor, registry, width, nodes)?);
-                }
-                Self::add_component(selector, span, registry, width, ins, nodes)
-            }
-        }
-    }
-
-    fn add_component(
-        name: &str,
-        span: Option<Span>,
-        registry: &ComponentRegistry,
-        width: u8,
-        inputs: Vec<usize>,
-        nodes: &mut Vec<Node>,
-    ) -> Result<usize, ComposeError> {
-        let component = registry.build(name, width, span)?;
-        let arity = component.arity();
-        let ok = if arity >= 2 {
-            inputs.len() == arity
-        } else {
-            inputs.len() <= 1
-        };
-        if !ok {
-            return Err(ComposeError::ArityMismatch {
-                component: name.into(),
-                expected: arity,
-                found: inputs.len(),
-            });
-        }
-        nodes.push(Node {
-            component,
-            inputs,
-            label: name.to_string(),
-        });
-        Ok(nodes.len() - 1)
-    }
-
-    /// Compiles the design's topology string against its registry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse and composition errors.
-    pub fn from_design(design: &Design, width: u8) -> Result<Self, ComposeError> {
-        let (topo, spans) = Topology::parse_spanned(&design.topology)?;
-        Self::compile_spanned(&topo, &spans, &design.registry, width)
     }
 
     /// Pipeline depth: the latency of the slowest component.
@@ -313,22 +255,6 @@ impl PredictorPipeline {
         self.nodes.iter().map(|n| n.label.as_str()).collect()
     }
 
-    /// Per-node static facts (label, latency, custom-lowering flag, input
-    /// edges) in dataflow order. This is the ground truth the plan
-    /// verifier re-derives fold schedules from and checks the lowered
-    /// [`ExecutionPlan`] against.
-    pub(crate) fn node_facts(&self) -> Vec<NodeFacts> {
-        self.nodes
-            .iter()
-            .map(|n| NodeFacts {
-                label: n.label.clone(),
-                latency: n.component.latency(),
-                is_custom: n.component.is_custom(),
-                inputs: n.inputs.clone(),
-            })
-            .collect()
-    }
-
     /// The maximum local-history bits any component requests.
     pub fn local_history_bits(&self) -> u32 {
         self.nodes
@@ -336,16 +262,6 @@ impl PredictorPipeline {
             .map(|n| n.component.local_history_bits())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Label of the component requesting the most local-history bits (for
-    /// error attribution).
-    pub fn widest_local_history_component(&self) -> Option<String> {
-        self.nodes
-            .iter()
-            .max_by_key(|n| n.component.local_history_bits())
-            .filter(|n| n.component.local_history_bits() > 0)
-            .map(|n| n.label.clone())
     }
 
     /// Total metadata bits per history-file entry (sum over components).
@@ -875,29 +791,41 @@ mod tests {
         assert_eq!(compile("TOURNEY3 > [GBIM2, LBIM2]").depth(), 3);
     }
 
+    /// The one `C`-code and span `topology` is rejected with.
+    fn rejection(topology: &str) -> (&'static str, Option<Span>) {
+        let t = Topology::parse(topology).unwrap();
+        match PredictorPipeline::compile(&t, &test_registry(), 4) {
+            Err(ComposeError::Analysis { diagnostics }) => {
+                assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
+                (diagnostics[0].code.code(), diagnostics[0].span)
+            }
+            other => panic!("expected one analysis finding, got {other:?}"),
+        }
+    }
+
     #[test]
     fn unknown_component_errors() {
-        let t = Topology::parse("NOPE9").unwrap();
-        let e = PredictorPipeline::compile(&t, &test_registry(), 4).unwrap_err();
-        assert!(matches!(e, ComposeError::UnknownComponent { .. }));
+        assert_eq!(rejection("NOPE9"), ("C0101", Some(Span::new(0, 5))));
     }
 
     #[test]
     fn arbiter_arity_checked() {
         // Tourney as a plain chain element (1 input) must be rejected.
-        let t = Topology::parse("TOURNEY3 > BIM2").unwrap();
-        let e = PredictorPipeline::compile(&t, &test_registry(), 4).unwrap_err();
-        assert!(matches!(e, ComposeError::ArityMismatch { .. }));
+        assert_eq!(
+            rejection("TOURNEY3 > BIM2"),
+            ("C0103", Some(Span::new(0, 8)))
+        );
     }
 
     #[test]
     fn over_requires_leaf_left_operand() {
         // (A > B) > C with A>B as the *overriding* side cannot be expressed
         // by the chain builder; parser yields Over(Over(..)..) only via
-        // parentheses.
-        let t = Topology::parse("(BIM2 > UBTB1) > GBIM2").unwrap();
-        let e = PredictorPipeline::compile(&t, &test_registry(), 4).unwrap_err();
-        assert!(matches!(e, ComposeError::Parse { .. }));
+        // parentheses. The finding points at the operand's top component.
+        assert_eq!(
+            rejection("(BIM2 > UBTB1) > GBIM2"),
+            ("C0001", Some(Span::new(1, 5)))
+        );
     }
 
     #[test]

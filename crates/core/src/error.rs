@@ -1,4 +1,12 @@
 //! Error types for topology parsing and pipeline composition.
+//!
+//! Three shapes reach a caller: a [`ComposeError::Parse`] from the
+//! topology parser, a [`ComposeError::UnknownComponent`] from a direct
+//! [`ComponentRegistry::build`](crate::composer::ComponentRegistry::build),
+//! and a [`ComposeError::Analysis`] for everything the static analyzer
+//! finds in an elaborated design — including the findings that stop a
+//! pipeline from compiling at all (unknown names, arity, latency and
+//! metadata width), which carry their `C`-code and span.
 
 use std::error::Error;
 use std::fmt;
@@ -70,43 +78,10 @@ pub enum ComposeError {
     UnknownComponent {
         /// The unresolved name, e.g. `"FOO3"`.
         name: String,
-        /// Byte range of the name in the topology text, when known (the
-        /// composer always supplies it; direct
-        /// [`ComponentRegistry::build`](crate::composer::ComponentRegistry::build)
-        /// callers may not have one).
+        /// Byte range of the name in the topology text, when the caller
+        /// of [`ComponentRegistry::build`](crate::composer::ComponentRegistry::build)
+        /// has one.
         span: Option<Span>,
-    },
-    /// An arbitration component was given the wrong number of inputs.
-    ArityMismatch {
-        /// The component's label.
-        component: String,
-        /// Inputs the component requires.
-        expected: usize,
-        /// Inputs the topology supplies.
-        found: usize,
-    },
-    /// A component declared an invalid latency (zero, or exceeding the
-    /// supported pipeline depth).
-    InvalidLatency {
-        /// The component's label.
-        component: String,
-        /// The offending latency.
-        latency: u8,
-    },
-    /// A component declared more metadata bits than the framework stores.
-    MetadataTooWide {
-        /// The component's label.
-        component: String,
-        /// Declared metadata width.
-        bits: u32,
-    },
-    /// A component requested a wider local history than the provider
-    /// supports (64 bits).
-    LocalHistoryTooWide {
-        /// The component's label.
-        component: String,
-        /// Declared local-history width.
-        bits: u32,
     },
     /// Static analysis rejected the design with one or more error-level
     /// diagnostics (see [`crate::analysis`]).
@@ -124,7 +99,6 @@ impl ComposeError {
             ComposeError::Parse { span, .. } => Some(*span),
             ComposeError::UnknownComponent { span, .. } => *span,
             ComposeError::Analysis { diagnostics } => diagnostics.iter().find_map(|d| d.span),
-            _ => None,
         }
     }
 }
@@ -137,26 +111,6 @@ impl fmt::Display for ComposeError {
             }
             ComposeError::UnknownComponent { name, .. } => {
                 write!(f, "unknown component name `{name}`")
-            }
-            ComposeError::ArityMismatch {
-                component,
-                expected,
-                found,
-            } => write!(
-                f,
-                "component `{component}` requires {expected} input(s) but the topology supplies {found}"
-            ),
-            ComposeError::InvalidLatency { component, latency } => {
-                write!(f, "component `{component}` declares invalid latency {latency}")
-            }
-            ComposeError::MetadataTooWide { component, bits } => {
-                write!(f, "component `{component}` declares {bits} metadata bits (max 64)")
-            }
-            ComposeError::LocalHistoryTooWide { component, bits } => {
-                write!(
-                    f,
-                    "component `{component}` declares {bits} local-history bits (max 64)"
-                )
             }
             ComposeError::Analysis { diagnostics } => {
                 let first = diagnostics
@@ -186,12 +140,6 @@ mod tests {
             span: None,
         };
         assert_eq!(e.to_string(), "unknown component name `FOO3`");
-        let e = ComposeError::ArityMismatch {
-            component: "TOURNEY3".into(),
-            expected: 2,
-            found: 1,
-        };
-        assert!(e.to_string().contains("requires 2"));
     }
 
     #[test]
