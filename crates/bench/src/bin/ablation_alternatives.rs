@@ -12,12 +12,8 @@ const WORKLOADS: [&str; 5] = ["gcc", "deepsjeng", "leela", "x264", "xz"];
 
 fn main() {
     println!("ABLATION — alternative predictor components (MPKI / IPC)");
-    let alt = [
-        designs::b2(),
-        designs::perceptron(),
-        designs::tage_l(),
-        designs::tage_sc_l(),
-    ];
+    let alt = ["B2", "Perceptron", "TAGE-L", "TAGE-SC-L"]
+        .map(|name| designs::by_name(name).expect("catalog design"));
     print!("{:<11}", "bench");
     for d in &alt {
         print!(" {:>18}", d.name);

@@ -18,7 +18,7 @@ fn main() {
         "bench", "MPKI base", "MPKI +IT", "dMPKI", "tgtMiss/ki", "tgtMiss+IT"
     );
     let d_base = designs::tage_l();
-    let d_it = designs::tage_l_it();
+    let d_it = designs::by_name("TAGE-L+IT").expect("catalog design");
     let specs: Vec<ProgramSpec> = WORKLOADS.iter().map(|w| spec17::spec17(w)).collect();
     // Workload-major pairs: (base, +ITTAGE) per benchmark.
     let jobs: Vec<Job<'_>> = specs

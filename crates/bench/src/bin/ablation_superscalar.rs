@@ -8,34 +8,34 @@
 
 use cobra_bench::pct_delta;
 use cobra_bench::runner::{run_grid, Job};
-use cobra_core::components::{Btb, BtbConfig, Hbim, HbimConfig};
-use cobra_core::composer::{ComponentRegistry, Design};
+use cobra_core::components::{Hbim, HbimConfig};
+use cobra_core::composer::Design;
+use cobra_core::designs;
 use cobra_uarch::CoreConfig;
 use cobra_workloads::{kernels, spec17, ProgramSpec};
 
 /// A bare bimodal design: the table under test provides every direction
 /// prediction, so intra-packet aliasing is not masked by a backing
-/// predictor.
+/// predictor. The superscalar table is the stock `BIM2`; the per-packet
+/// table is the same geometry under its own label, `PBIM2`.
 fn bim_design(superscalar: bool) -> Design {
-    let mut registry = ComponentRegistry::new();
-    registry.register("BTB2", |w| Box::new(Btb::new(BtbConfig::large(w))));
-    registry.register("BIM2", move |w| {
+    if superscalar {
+        return Design {
+            name: "bim/superscalar".into(),
+            ..designs::from_topology("BTB2 > BIM2", 16, 0)
+        };
+    }
+    let mut design = Design {
+        name: "bim/per-packet".into(),
+        ..designs::from_topology("BTB2 > PBIM2", 16, 0)
+    };
+    design.registry.register("PBIM2", |w| {
         Box::new(Hbim::new(HbimConfig {
-            superscalar,
+            superscalar: false,
             ..HbimConfig::bim(16384, w)
         }))
     });
-    Design {
-        name: if superscalar {
-            "bim/superscalar".into()
-        } else {
-            "bim/per-packet".into()
-        },
-        topology: "BTB2 > BIM2".into(),
-        registry,
-        ghist_bits: 16,
-        lhist_entries: 0,
-    }
+    design
 }
 
 fn main() {

@@ -83,26 +83,16 @@ fn parse_args(args: &mut cli::Args) -> Result<Options, Stop> {
 }
 
 fn report_for(target: &str, o: &Options) -> Result<ResourceReport, String> {
-    let model = if let Some(d) = designs::by_name(target) {
-        DesignModel::build(
-            &d.name,
-            &d.topology,
-            &d.registry,
-            o.width,
-            d.ghist_bits,
-            d.lhist_entries,
-        )
-    } else {
-        let registry = designs::stock_registry();
-        DesignModel::build(
-            target,
-            target,
-            &registry,
-            o.width,
-            o.ghist_bits,
-            o.lhist_entries,
-        )
-    }
+    let d = designs::by_name(target)
+        .unwrap_or_else(|| designs::from_topology(target, o.ghist_bits, o.lhist_entries));
+    let model = DesignModel::build(
+        &d.name,
+        &d.topology,
+        &d.registry,
+        o.width,
+        d.ghist_bits,
+        d.lhist_entries,
+    )
     .map_err(|e| e.to_string())?;
     if let Some(d) = model
         .resolution

@@ -14,10 +14,10 @@
 //! cobra-lint --list-codes                   # the diagnostic code table
 //! ```
 //!
-//! Raw topologies resolve against the stock component registry
-//! ([`cobra_core::designs::stock_registry`]); built-in designs resolve
-//! against their own registries and are cross-checked against the
-//! storage reference figures in [`cobra_bench::reference`].
+//! Every target resolves against the stock component registry
+//! ([`cobra_core::designs::stock_registry`]); built-in designs are also
+//! cross-checked against the storage reference figures in
+//! [`cobra_bench::reference`].
 //!
 //! `--plan` compiles each target's pipeline and cross-checks the lowered
 //! execution plan against the elaborated design (the `P0101`–`P0501`
@@ -75,7 +75,7 @@ impl Default for Options {
 const USAGE: &str = "usage: cobra-lint [OPTIONS] [TARGET...]
 
 Targets are built-in design names (e.g. TAGE-L) or raw topology strings
-(e.g. \"LOOP3 > TAGE3 > BTB2 > BIM2 > UBTB1\").
+(e.g. \"LOOP3 > TAGE3 > BTB2 > SBIM2 > UBTB1\").
 
 Options:
   --all               lint every built-in design
@@ -152,32 +152,18 @@ fn adjust_severities(report: &mut analysis::AnalysisReport, o: &Options) {
 }
 
 fn lint_one(target: &str, o: &Options) -> Result<analysis::AnalysisReport, String> {
-    let cfg = |reference_kb, paper_kb| AnalysisConfig {
+    let design = designs::by_name(target)
+        .unwrap_or_else(|| designs::from_topology(target, o.ghist_bits, o.lhist_entries));
+    // The reference figures are keyed by built-in design name; a raw
+    // topology is named by its own text and finds none.
+    let cfg = AnalysisConfig {
         width: o.width,
         meta_budget_bits: o.meta_budget_bits,
-        reference_kb,
-        paper_kb,
+        reference_kb: reference::measured_storage_kb(&design.name),
+        paper_kb: reference::table1_storage_kb(&design.name),
         ..AnalysisConfig::default()
     };
-    let named = designs::by_name(target);
-    let mut report = if let Some(design) = &named {
-        let cfg = cfg(
-            reference::measured_storage_kb(&design.name),
-            reference::table1_storage_kb(&design.name),
-        );
-        analysis::analyze_design(design, &cfg)
-    } else {
-        let registry = designs::stock_registry();
-        analysis::analyze_topology(
-            target,
-            target,
-            &registry,
-            o.ghist_bits,
-            o.lhist_entries,
-            &cfg(None, None),
-        )
-    }
-    .map_err(|e| {
+    let mut report = analysis::analyze_design(&design, &cfg).map_err(|e| {
         // Parse failures never reach a report; render them in the same
         // caret style so the span is still visible.
         match e.span() {
@@ -189,10 +175,6 @@ fn lint_one(target: &str, o: &Options) -> Result<analysis::AnalysisReport, Strin
         // The verifier needs a compiled pipeline; a design whose pipeline
         // cannot compile already carries error diagnostics in the report,
         // so a compile failure here is not double-reported.
-        let design = match named {
-            Some(d) => d,
-            None => designs::from_topology(target, o.ghist_bits, o.lhist_entries),
-        };
         if let Ok(diags) = analysis::verify_design_plan(&design, o.width) {
             report.diagnostics.extend(diags);
         }

@@ -16,8 +16,8 @@ fn main() {
         "{:<11} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "bench", "IPC@2", "IPC@3", "dIPC", "acc@2", "acc@3", "dAcc"
     );
-    let d2 = designs::tage_l_with_latency(2);
-    let d3 = designs::tage_l_with_latency(3);
+    let d2 = designs::by_name("TAGE-L/lat2").expect("catalog design");
+    let d3 = designs::tage_l();
     let specs: Vec<ProgramSpec> = WORKLOADS.iter().map(|w| spec17::spec17(w)).collect();
     // Workload-major pairs: (2-cycle, 3-cycle) per benchmark.
     let jobs: Vec<Job<'_>> = specs

@@ -224,15 +224,12 @@ pub fn candidate_neighbors(cand: &Candidate, zoo: &[&str]) -> Vec<Candidate> {
     out
 }
 
-/// The label alphabet mutations draw from: every stock-registry
-/// component name, sorted.
+/// The label alphabet mutations draw from: every stock label, sorted.
 pub fn stock_zoo() -> Vec<String> {
-    let mut names: Vec<String> = designs::stock_registry()
-        .names()
-        .map(String::from)
-        .collect();
-    names.sort();
-    names
+    designs::STOCK_LABELS
+        .iter()
+        .map(|&(label, _)| label.to_string())
+        .collect()
 }
 
 /// The catalog seeds: one [`Candidate`] per built-in design.

@@ -173,15 +173,6 @@ impl Tage {
         &self.cfg
     }
 
-    /// Sets the response latency — used by the Section VI-A experiment,
-    /// which compares a 2-cycle against a 3-cycle TAGE arbitration. The
-    /// interface lets the component vary its latency "in isolation from
-    /// other sub-components".
-    pub fn set_latency(&mut self, latency: u8) {
-        assert!(latency >= 2, "TAGE reads history: latency >= 2");
-        self.cfg.latency = latency;
-    }
-
     fn index(&self, t: usize, pc: u64, ghist: &HistoryRegister) -> u64 {
         let n = bits::clog2(self.cfg.table_entries);
         let hl = self.cfg.hist_lengths[t].min(ghist.width());
@@ -660,10 +651,12 @@ mod tests {
     }
 
     #[test]
-    fn latency_override_for_section_6a() {
-        let mut t = Tage::new(TageConfig::paper(4));
-        assert_eq!(t.latency(), 3);
-        t.set_latency(2);
+    fn latency_is_configured_for_section_6a() {
+        assert_eq!(Tage::new(TageConfig::paper(4)).latency(), 3);
+        let t = Tage::new(TageConfig {
+            latency: 2,
+            ..TageConfig::paper(4)
+        });
         assert_eq!(t.latency(), 2);
     }
 

@@ -1,32 +1,46 @@
-//! The three predictor designs evaluated in the paper (Table I / Fig 7).
+//! The built-in predictor designs, as data over one stock label table.
+//!
+//! A topology label names one parameterized sub-component (Section III-G,
+//! Fig 5), whatever design it appears in: [`STOCK_LABELS`] maps each label
+//! to the one factory that builds it, and every design — catalog entry or
+//! raw topology — resolves against the registry built from that table.
+//! Two parameterizations of one structure are two labels (`BIM2` and
+//! `SBIM2` differ in size, `TAGE3` and `TAGE2` in latency), so a
+//! topology's text is the whole design.
 //!
 //! | Design | Topology | Histories |
 //! |---|---|---|
 //! | Tournament | `TOURNEY3 > [GBIM2 > BTB2, LBIM2]` | 32-bit global, 256×32-bit local |
 //! | B2 | `GTAG3 > BTB2 > BIM2` | 16-bit global |
-//! | TAGE-L | `LOOP3 > TAGE3 > BTB2 > BIM2 > UBTB1` | 64-bit global |
+//! | TAGE-L | `LOOP3 > TAGE3 > BTB2 > SBIM2 > UBTB1` | 64-bit global |
+//! | TAGE-SC-L | `LOOP3 > SC3 > TAGE3 > BTB2 > SBIM2 > UBTB1` | 64-bit global |
+//! | TAGE-L+IT | `ITTAGE3 > LOOP3 > TAGE3 > BTB2 > SBIM2 > UBTB1` | 64-bit global |
+//! | Perceptron | `PERC3 > BTB2 > BIM2` | 32-bit global |
+//! | TAGE-L/lat2 | `LOOP3 > TAGE2 > BTB2 > SBIM2 > UBTB1` | 64-bit global |
 //!
-//! Each function returns a [`Design`] whose registry elaborates the
-//! paper's parameterization; pass it to
-//! [`BranchPredictorUnit::build`](crate::composer::BranchPredictorUnit::build).
+//! The first three are the paper's designs (Table I / Fig 7); pass any of
+//! them to [`BranchPredictorUnit::build`](crate::composer::BranchPredictorUnit::build).
 
 use crate::components::{
-    Btb, BtbConfig, Gtag, GtagConfig, Hbim, HbimConfig, IndexScheme, LoopConfig, LoopPredictor,
-    MicroBtb, MicroBtbConfig, Tage, TageConfig, Tourney, TourneyConfig,
+    Btb, BtbConfig, CorrectorConfig, Gtag, GtagConfig, Hbim, HbimConfig, IndexScheme, Ittage,
+    IttageConfig, LoopConfig, LoopPredictor, MicroBtb, MicroBtbConfig, Perceptron,
+    PerceptronConfig, StatisticalCorrector, Tage, TageConfig, Tourney, TourneyConfig,
 };
-use crate::composer::{ComponentRegistry, Design};
+use crate::composer::{ComponentKind, ComponentRegistry, Design};
 
-/// The "Tournament" design: a globally-indexed selector choosing between
-/// untagged global- and local-history counter tables, similar to the
-/// Alpha 21264 and riscyOOO predictors.
-///
-/// Table I: 32-bit global and 256×32-bit local histories, a 2K-entry BTB
-/// with a 16K-entry 2-bit BHT, and 1K tournament counters.
-pub fn tournament() -> Design {
-    let mut registry = ComponentRegistry::new();
+/// Builds a stock component for a fetch width.
+type Factory = fn(u8) -> ComponentKind;
+
+/// Every stock label and the factory of the one component it names, in
+/// label order: the single source of [`stock_registry`].
+pub const STOCK_LABELS: &[(&str, Factory)] = &[
+    // The 16K-entry PC-indexed bimodal base of B2 and Perceptron.
+    ("BIM2", |w| Hbim::new(HbimConfig::bim(16384, w)).into()),
+    // The 2K-entry BTB every stock design uses.
+    ("BTB2", |w| Btb::new(BtbConfig::large(w)).into()),
     // Alpha-style: the global table is indexed by the history register
     // alone — the untagged indexing whose aliasing Section V-B calls out.
-    registry.register_kind("GBIM2", |w| {
+    ("GBIM2", |w| {
         Hbim::new(HbimConfig {
             entries: 16384,
             counter_bits: 2,
@@ -36,8 +50,10 @@ pub fn tournament() -> Design {
             superscalar: true,
         })
         .into()
-    });
-    registry.register_kind("LBIM2", |w| {
+    }),
+    ("GTAG3", |w| Gtag::new(GtagConfig::b2(w)).into()),
+    ("ITTAGE3", |w| Ittage::new(IttageConfig::small(w)).into()),
+    ("LBIM2", |w| {
         Hbim::new(HbimConfig {
             entries: 1024,
             counter_bits: 2,
@@ -47,144 +63,105 @@ pub fn tournament() -> Design {
             superscalar: true,
         })
         .into()
-    });
-    registry.register_kind("BTB2", |w| Btb::new(BtbConfig::large(w)).into());
-    registry.register_kind("TOURNEY3", |w| Tourney::new(TourneyConfig::paper(w)).into());
+    }),
+    ("LOOP3", |w| LoopPredictor::new(LoopConfig::paper(w)).into()),
+    ("PERC3", |w| {
+        Perceptron::new(PerceptronConfig::default_size(w)).into()
+    }),
+    // The TAGE-L family's small (4K-entry) bimodal base.
+    ("SBIM2", |w| Hbim::new(HbimConfig::bim(4096, w)).into()),
+    ("SC3", |w| {
+        StatisticalCorrector::new(CorrectorConfig::small(w)).into()
+    }),
+    // The Section VI-A variant: the paper's TAGE arbitrating in 2 cycles.
+    ("TAGE2", |w| {
+        Tage::new(TageConfig {
+            latency: 2,
+            ..TageConfig::paper(w)
+        })
+        .into()
+    }),
+    ("TAGE3", |w| Tage::new(TageConfig::paper(w)).into()),
+    ("TOURNEY3", |w| Tourney::new(TourneyConfig::paper(w)).into()),
+    ("UBTB1", |w| MicroBtb::new(MicroBtbConfig::small(w)).into()),
+];
+
+/// The built-in designs, paper designs first: name, topology, global-history
+/// bits and local-history entries. The extension rows add the statistical
+/// corrector the paper's TAGE-L deliberately omits; an ITTAGE
+/// indirect-target predictor, so indirect dispatch sites (interpreters,
+/// virtual calls) get history-correlated targets instead of the BTB's
+/// last-target guess; a perceptron in place of TAGE; and the 2-cycle TAGE
+/// of the Section VI-A physical-design experiment.
+#[rustfmt::skip]
+const CATALOG: &[(&str, &str, u32, u64)] = &[
+    ("Tournament",  "TOURNEY3 > [GBIM2 > BTB2, LBIM2]",               32, 256),
+    ("B2",          "GTAG3 > BTB2 > BIM2",                            16, 0),
+    ("TAGE-L",      "LOOP3 > TAGE3 > BTB2 > SBIM2 > UBTB1",           64, 0),
+    ("TAGE-SC-L",   "LOOP3 > SC3 > TAGE3 > BTB2 > SBIM2 > UBTB1",     64, 0),
+    ("TAGE-L+IT",   "ITTAGE3 > LOOP3 > TAGE3 > BTB2 > SBIM2 > UBTB1", 64, 0),
+    ("Perceptron",  "PERC3 > BTB2 > BIM2",                            32, 0),
+    ("TAGE-L/lat2", "LOOP3 > TAGE2 > BTB2 > SBIM2 > UBTB1",           64, 0),
+];
+
+fn design(&(name, topology, ghist_bits, lhist_entries): &(&str, &str, u32, u64)) -> Design {
     Design {
-        name: "Tournament".into(),
-        topology: "TOURNEY3 > [GBIM2 > BTB2, LBIM2]".into(),
-        registry,
-        ghist_bits: 32,
-        lhist_entries: 256,
+        name: name.into(),
+        ..from_topology(topology, ghist_bits, lhist_entries)
     }
 }
 
-/// The "B2" design: the original BOOM predictor — a single partially-tagged
-/// global-history table backed by a PC-indexed bimodal table.
+/// The "Tournament" design, `TOURNEY3 > [GBIM2 > BTB2, LBIM2]`: a
+/// globally-indexed selector choosing between untagged global- and
+/// local-history counter tables, similar to the Alpha 21264 and riscyOOO
+/// predictors.
+///
+/// Table I: 32-bit global and 256×32-bit local histories, a 2K-entry BTB
+/// with a 16K-entry 2-bit BHT, and 1K tournament counters.
+pub fn tournament() -> Design {
+    design(&CATALOG[0])
+}
+
+/// The "B2" design, `GTAG3 > BTB2 > BIM2`: the original BOOM predictor — a
+/// single partially-tagged global-history table backed by a PC-indexed
+/// bimodal table.
 ///
 /// Table I: 16-bit global history, 2K partially-tagged plus 16K untagged
 /// counters, and a 2K-entry BTB.
 pub fn b2() -> Design {
-    let mut registry = ComponentRegistry::new();
-    registry.register_kind("GTAG3", |w| Gtag::new(GtagConfig::b2(w)).into());
-    registry.register_kind("BTB2", |w| Btb::new(BtbConfig::large(w)).into());
-    registry.register_kind("BIM2", |w| Hbim::new(HbimConfig::bim(16384, w)).into());
-    Design {
-        name: "B2".into(),
-        topology: "GTAG3 > BTB2 > BIM2".into(),
-        registry,
-        ghist_bits: 16,
-        lhist_entries: 0,
-    }
+    design(&CATALOG[1])
 }
 
-/// The "TAGE-L" design: a 7-table TAGE with a loop corrector, micro-BTB,
-/// and bimodal base — "vaguely similar to TAGE-SC-L, only with no
-/// statistical corrector, and a simpler loop predictor".
+/// The "TAGE-L" design, `LOOP3 > TAGE3 > BTB2 > SBIM2 > UBTB1`: a 7-table
+/// TAGE with a loop corrector, micro-BTB, and bimodal base — "vaguely
+/// similar to TAGE-SC-L, only with no statistical corrector, and a simpler
+/// loop predictor".
 ///
 /// Table I: 64-bit global history, 7 TAGE tables, a 2K-entry BTB with a
 /// 32-entry uBTB, and a 256-entry loop predictor.
 pub fn tage_l() -> Design {
-    let mut registry = ComponentRegistry::new();
-    registry.register_kind("LOOP3", |w| LoopPredictor::new(LoopConfig::paper(w)).into());
-    registry.register_kind("TAGE3", |w| Tage::new(TageConfig::paper(w)).into());
-    registry.register_kind("BTB2", |w| Btb::new(BtbConfig::large(w)).into());
-    registry.register_kind("BIM2", |w| Hbim::new(HbimConfig::bim(4096, w)).into());
-    registry.register_kind("UBTB1", |w| MicroBtb::new(MicroBtbConfig::small(w)).into());
-    Design {
-        name: "TAGE-L".into(),
-        topology: "LOOP3 > TAGE3 > BTB2 > BIM2 > UBTB1".into(),
-        registry,
-        ghist_bits: 64,
-        lhist_entries: 0,
-    }
+    design(&CATALOG[2])
 }
 
-/// A variant of [`tage_l`] with the TAGE latency overridden — the
-/// Section VI-A physical-design experiment (2-cycle vs 3-cycle TAGE
-/// arbitration).
-pub fn tage_l_with_latency(tage_latency: u8) -> Design {
-    let mut d = tage_l();
-    d.registry.register_kind("TAGE3", move |w| {
-        let mut t = Tage::new(TageConfig::paper(w));
-        t.set_latency(tage_latency);
-        t.into()
-    });
-    d.name = format!("TAGE-L/lat{tage_latency}");
-    d
-}
-
-/// An extension design adding the statistical corrector the paper's TAGE-L
-/// deliberately omits: `LOOP3 > SC3 > TAGE3 > BTB2 > BIM2 > UBTB1`.
-pub fn tage_sc_l() -> Design {
-    use crate::components::{CorrectorConfig, StatisticalCorrector};
-    let mut d = tage_l();
-    d.registry.register_kind("SC3", |w| {
-        StatisticalCorrector::new(CorrectorConfig::small(w)).into()
-    });
-    d.topology = "LOOP3 > SC3 > TAGE3 > BTB2 > BIM2 > UBTB1".into();
-    d.name = "TAGE-SC-L".into();
-    d
-}
-
-/// An extension design adding an ITTAGE indirect-target predictor above
-/// TAGE-L: `ITTAGE3 > LOOP3 > TAGE3 > BTB2 > BIM2 > UBTB1`. Indirect
-/// dispatch sites (interpreters, virtual calls) get history-correlated
-/// targets instead of the BTB's last-target guess.
-pub fn tage_l_it() -> Design {
-    use crate::components::{Ittage, IttageConfig};
-    let mut d = tage_l();
-    d.registry
-        .register_kind("ITTAGE3", |w| Ittage::new(IttageConfig::small(w)).into());
-    d.topology = "ITTAGE3 > LOOP3 > TAGE3 > BTB2 > BIM2 > UBTB1".into();
-    d.name = "TAGE-L+IT".into();
-    d
-}
-
-/// An extension design using a perceptron in place of TAGE:
-/// `PERC3 > BTB2 > BIM2`.
-pub fn perceptron() -> Design {
-    use crate::components::{Perceptron, PerceptronConfig};
-    let mut registry = ComponentRegistry::new();
-    registry.register_kind("PERC3", |w| {
-        Perceptron::new(PerceptronConfig::default_size(w)).into()
-    });
-    registry.register_kind("BTB2", |w| Btb::new(BtbConfig::large(w)).into());
-    registry.register_kind("BIM2", |w| Hbim::new(HbimConfig::bim(16384, w)).into());
-    Design {
-        name: "Perceptron".into(),
-        topology: "PERC3 > BTB2 > BIM2".into(),
-        registry,
-        ghist_bits: 32,
-        lhist_entries: 0,
-    }
-}
-
-/// Every stock design, for sweep harnesses.
+/// Every stock design — the paper's three, the first catalog rows — for
+/// sweep harnesses.
 pub fn all() -> Vec<Design> {
-    vec![tournament(), b2(), tage_l()]
+    CATALOG[..3].iter().map(design).collect()
 }
 
 /// Every built-in design, paper designs first — what `cobra-lint --all`
 /// iterates.
 pub fn catalog() -> Vec<Design> {
-    vec![
-        tournament(),
-        b2(),
-        tage_l(),
-        tage_sc_l(),
-        tage_l_it(),
-        perceptron(),
-        tage_l_with_latency(2),
-    ]
+    CATALOG.iter().map(design).collect()
 }
 
 /// Looks a built-in design up by its name (as reported by
 /// [`Design::name`](crate::composer::Design)), case-insensitively.
 pub fn by_name(name: &str) -> Option<Design> {
-    catalog()
-        .into_iter()
-        .find(|d| d.name.eq_ignore_ascii_case(name))
+    CATALOG
+        .iter()
+        .find(|row| row.0.eq_ignore_ascii_case(name))
+        .map(design)
 }
 
 /// Wraps a raw topology string as an ad-hoc [`Design`] resolved against
@@ -201,28 +178,12 @@ pub fn from_topology(topology: &str, ghist_bits: u32, lhist_entries: u64) -> Des
     }
 }
 
-/// A registry holding every component the built-in designs use, under its
-/// stock label — the resolution context for linting raw topology strings.
+/// A registry holding every [`STOCK_LABELS`] row — the resolution context
+/// of every built-in design and raw topology.
 pub fn stock_registry() -> ComponentRegistry {
     let mut registry = ComponentRegistry::new();
-    for d in catalog() {
-        let names: Vec<String> = d.registry.names().map(String::from).collect();
-        for n in names {
-            let already = registry.names().any(|r| r == n);
-            if !already {
-                // Re-elaborate through the owning design so each label keeps
-                // its stock parameterization.
-                let label = n.clone();
-                let dname = d.name.clone();
-                registry.register_kind(n, move |w| {
-                    by_name(&dname)
-                        .expect("catalog design exists")
-                        .registry
-                        .build(&label, w, None)
-                        .expect("label came from this registry")
-                });
-            }
-        }
+    for &(label, factory) in STOCK_LABELS {
+        registry.register_kind(label, factory);
     }
     registry
 }
@@ -231,18 +192,11 @@ pub fn stock_registry() -> ComponentRegistry {
 mod tests {
     use super::*;
     use crate::composer::{BpuConfig, BranchPredictorUnit};
+    use crate::iface::Component;
 
     #[test]
     fn all_designs_compile() {
-        for d in [
-            tournament(),
-            b2(),
-            tage_l(),
-            tage_sc_l(),
-            tage_l_it(),
-            perceptron(),
-            tage_l_with_latency(2),
-        ] {
+        for d in catalog() {
             let bpu = BranchPredictorUnit::build(&d, BpuConfig::default());
             assert!(bpu.is_ok(), "design {} failed to build", d.name);
         }
@@ -254,8 +208,11 @@ mod tests {
         assert_eq!(d3.depth(), 3);
         // With a 2-cycle TAGE the loop predictor (3 cycles) still bounds
         // the depth, but the TAGE responds a stage earlier.
-        let d2 = BranchPredictorUnit::build(&tage_l_with_latency(2), BpuConfig::default());
-        assert!(d2.is_ok());
+        let tage2 = STOCK_LABELS.iter().find(|row| row.0 == "TAGE2").unwrap();
+        assert_eq!((tage2.1)(4).latency(), 2);
+        let lat2 = by_name("TAGE-L/lat2").expect("catalog row");
+        let d2 = BranchPredictorUnit::build(&lat2, BpuConfig::default()).unwrap();
+        assert_eq!(d2.depth(), 3);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! the management structures' invariants.
 
 use cobra::core::composer::{BpuConfig, BranchPredictorUnit, Design};
-use cobra::core::validate::{check_component, CheckConfig};
 use cobra::core::{designs, BranchKind, SlotResolution};
 use cobra::sim::SplitMix64;
 
@@ -24,34 +23,6 @@ fn cond(slot: u8, taken: bool, target: u64) -> SlotResolution {
         kind: BranchKind::Conditional,
         taken,
         target,
-    }
-}
-
-#[test]
-fn every_registered_component_conforms_to_the_interface() {
-    // The paper validates sub-components independently before composing
-    // (Section V-A); do the same for every component of every design.
-    for design in [
-        designs::tournament(),
-        designs::b2(),
-        designs::tage_l(),
-        designs::tage_sc_l(),
-        designs::perceptron(),
-    ] {
-        let mut names: Vec<&str> = design.registry.names().collect();
-        names.sort_unstable();
-        for name in names {
-            let mut c = design
-                .registry
-                .build(name, 8, None)
-                .expect("name registered");
-            let v = check_component(&mut c, CheckConfig::default());
-            assert!(
-                v.is_empty(),
-                "{}::{name} violates the interface: {v:?}",
-                design.name
-            );
-        }
     }
 }
 

@@ -146,15 +146,11 @@ fn tage_latency_sweep_keeps_accuracy() {
     // much; the interface isolates the change.
     let spec = spec17::spec17("gcc");
     let l2 = run(
-        &designs::tage_l_with_latency(2),
+        &designs::by_name("TAGE-L/lat2").expect("catalog design"),
         CoreConfig::boom_4wide(),
         &spec,
     );
-    let l3 = run(
-        &designs::tage_l_with_latency(3),
-        CoreConfig::boom_4wide(),
-        &spec,
-    );
+    let l3 = run(&designs::tage_l(), CoreConfig::boom_4wide(), &spec);
     let diff = (l2.counters.branch_accuracy() - l3.counters.branch_accuracy()).abs();
     assert!(diff < 2.0, "accuracy moved {diff} points with latency");
     assert!(l2.counters.ipc() >= l3.counters.ipc() * 0.97);
@@ -162,7 +158,8 @@ fn tage_latency_sweep_keeps_accuracy() {
 
 #[test]
 fn extension_designs_run() {
-    for design in [designs::tage_sc_l(), designs::perceptron()] {
+    for name in ["TAGE-SC-L", "Perceptron"] {
+        let design = designs::by_name(name).expect("catalog design");
         let r = run(&design, CoreConfig::boom_4wide(), &kernels::dhrystone());
         assert!(
             r.counters.ipc() > 0.3,
